@@ -5,12 +5,14 @@ Unlike the ``bench_fig*`` / ``bench_table*`` modules (pytest-benchmark
 harness reproducing the paper's figures), this is a plain script that times
 the hot paths industrialised by the batched pipeline —
 
-* audience-size **collection** at its three tiers (the panel-scale fused
-  kernel: one vectorised ordering pass + one ``estimate_reach_matrix``
-  call; the per-user batched prefix query; the scalar per-(user, N) loop),
-* **sharded collection** (the ``repro.exec`` layer: per-shard ordering +
-  kernels on a multi-worker runner vs the fused whole-panel pass, measured
-  on a tiled panel large enough that the fused pass falls out of cache),
+* audience-size **collection** (the shard engine behind
+  ``AudienceSizeCollector.collect``: per-shard vectorised ordering +
+  prefix kernel + one merged bill) against the per-user batched prefix
+  query and the scalar per-(user, N) loop, both taken from the parity
+  oracles in ``tests/oracles.py``,
+* **sharded collection** (the same engine on a multi-worker runner vs a
+  one-shard plan, i.e. one fused whole-panel pass, measured on a tiled
+  panel large enough that the fused pass falls out of cache),
 * the **fault-tolerance layer** (the same sharded pass with a retry policy
   and a zero-rate ``FaultPlan`` engaged, verifying the guard plumbing is
   effectively free when no faults fire),
@@ -33,14 +35,14 @@ the hot paths industrialised by the batched pipeline —
   into the CSR column store via the sharded generation path, then collected
   shard-by-shard and bootstrapped off the streamed accumulator — measuring
   build rate in users/s and peak memory via ``tracemalloc`` +
-  ``resource.getrusage``, with object-vs-columnar parity pinned at an
-  overlap scale; ``--scale-users 1000000`` is the million-user acceptance
-  run),
+  ``resource.getrusage``, with parity against the oracle-built object
+  panel pinned at an overlap scale; ``--scale-users 1000000`` is the
+  million-user acceptance run),
 
 * the **assignment-rate stage** (the batched ``assign_rows`` interest
-  kernel vs the per-user ``assign`` loop on one panel-shaped shard, outputs
-  hard-checked bit-identical; ``--min-assign-rate`` / ``--min-assign-gain``
-  gate the kernel's users/s and its speedup),
+  kernel vs the oracle's per-user ``assign`` loop on one panel-shaped
+  shard, outputs hard-checked bit-identical; ``--min-assign-rate`` /
+  ``--min-assign-gain`` gate the kernel's users/s and its speedup),
 
 * the **cold-start stage** (hydrating the panel from the disk-backed
   content-addressed artifact store vs rebuilding it from scratch, with
@@ -62,6 +64,7 @@ import argparse
 import json
 import platform
 import resource
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -98,14 +101,18 @@ from repro.population import (
     InterestAssigner,
     InterestCountModel,
     InterestShardTask,
+    PanelColumns,
     SyntheticUser,
     run_interest_shard,
-    run_interest_shard_reference,
 )
 from repro.reach import country_codes
 from repro.scenarios import ScenarioSpec, SweepRunner, expand_grid
 from repro.service import ReachService, RequestTrace, ServiceConfig, run_trace
 from repro.simclock import SimClock
+
+# The reference baselines of the parity gates live with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import oracles  # noqa: E402
 
 #: Scale divisor matching benchmarks/conftest.py's mid-scale simulation.
 BENCH_SCALE_FACTOR = 8
@@ -185,7 +192,11 @@ def _scalar_bootstrap_reference(samples, qs, n_bootstrap: int, seed: int):
 
 
 def _tiled_panel(panel: FDVTPanel, tiles: int) -> FDVTPanel:
-    """Replicate a panel's users ``tiles`` times with fresh user ids."""
+    """Replicate a panel's users ``tiles`` times with fresh user ids.
+
+    The tiled users are encoded into the columnar store up front, so no
+    timed collection pays the one-off encode.
+    """
     users = []
     user_id = 0
     for _ in range(tiles):
@@ -200,7 +211,7 @@ def _tiled_panel(panel: FDVTPanel, tiles: int) -> FDVTPanel:
                 )
             )
             user_id += 1
-    return FDVTPanel(users, panel.catalog)
+    return FDVTPanel.from_columns(PanelColumns.from_users(users), panel.catalog)
 
 
 def _service_stage(simulation) -> dict:
@@ -323,9 +334,9 @@ def _assignment_stage(config, catalog) -> dict:
     """Assignment-rate stage: batched kernel vs the per-user reference loop.
 
     Times :func:`~repro.population.generation.run_interest_shard` (the
-    batched ``assign_rows`` kernel) against
-    :func:`~repro.population.generation.run_interest_shard_reference`
-    (the pre-kernel per-user ``assign`` loop) on one panel-shaped shard —
+    batched ``assign_rows`` kernel) against the oracle
+    ``oracles.run_interest_shard_reference`` (the per-user ``assign``
+    loop) on one panel-shaped shard —
     jittered per-row biases, per-row age draws, preferred-topic draws —
     and hard-checks the outputs bit-identical.  ``--min-assign-rate`` /
     ``--min-assign-gain`` gate the kernel's users/s and its speedup.
@@ -364,7 +375,7 @@ def _assignment_stage(config, catalog) -> dict:
     # Warm the per-bias derived tables so neither side pays first-call
     # table builds inside its timed run.
     run_interest_shard(make_task(min(200, n_rows)))
-    run_interest_shard_reference(make_task(min(200, n_rows)))
+    oracles.run_interest_shard_reference(make_task(min(200, n_rows)))
 
     # Interleaved best-of-3: the ~3-4x margin is real but single-shot
     # timings of the two sides drift enough on shared runners to flirt
@@ -372,7 +383,7 @@ def _assignment_stage(config, catalog) -> dict:
     outputs: dict[str, tuple] = {}
 
     def reference_run():
-        outputs["reference"] = run_interest_shard_reference(make_task(n_rows))
+        outputs["reference"] = oracles.run_interest_shard_reference(make_task(n_rows))
 
     def kernel_run():
         outputs["kernel"] = run_interest_shard(make_task(n_rows))
@@ -432,10 +443,10 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
     Builds ``scale_users`` panellists straight into the CSR column store
     (sharded generation on a thread pool), collects the full users x 25
     matrix shard-by-shard, and bootstraps off the streamed accumulator —
-    the end-to-end chain the columnar refactor keeps inside a bounded
-    footprint.  Parity against the object path is pinned at
-    ``parity_users`` (building two object-mode panels of the scale size
-    would defeat the point of the stage).
+    the end-to-end chain the columnar store keeps inside a bounded
+    footprint.  Parity against the oracle-built object panel is pinned at
+    ``parity_users`` (building an object panel of the scale size would
+    defeat the point of the stage).
     """
     print(
         f"columnar scale stage ({scale_users:,} users, "
@@ -451,11 +462,7 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
     build_s, panel = _timed(
         "columnar panel build (sharded)",
         lambda: build_panel(
-            config,
-            seed=SCALE_SEED,
-            catalog=catalog,
-            layout="columnar",
-            executor=executor,
+            config, seed=SCALE_SEED, catalog=catalog, executor=executor
         ),
     )
     build_rate = scale_users / build_s if build_s > 0 else float("inf")
@@ -468,8 +475,8 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
         simulation.uniqueness_api, panel, max_interests=25, locations=locations
     )
     collect_s, _ = _timed(
-        "collect_sharded (thread pool)",
-        lambda: collector.collect_sharded(strategy, executor=executor),
+        "collect (thread pool)",
+        lambda: collector.collect(strategy, executor=executor),
     )
     stream_collector = AudienceSizeCollector(
         AdsManagerAPI(
@@ -508,29 +515,33 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
 
     parity_config = _scale_config(parity_users)
     parity_executor = ShardExecutor(backend="thread", workers=2, shard_size=97)
-    object_sim = build_simulation(
-        parity_config, seed=SCALE_SEED, panel_layout="objects"
+    parity_catalog = build_catalog(parity_config, seed=SCALE_SEED)
+    object_panel = oracles.reference_build_panel(
+        parity_config, seed=SCALE_SEED, catalog=parity_catalog
     )
     columnar_panel = build_panel(
         parity_config,
         seed=SCALE_SEED,
-        catalog=object_sim.catalog,
-        layout="columnar",
+        catalog=parity_catalog,
         executor=parity_executor,
     )
-    users_identical = object_sim.panel.users == columnar_panel.users
-    object_samples = AudienceSizeCollector(
-        object_sim.uniqueness_api,
-        object_sim.panel,
-        max_interests=25,
-        locations=locations,
-    ).collect(strategy)
-    columnar_samples = AudienceSizeCollector(
+    users_identical = object_panel.users == columnar_panel.users
+    parity_sim = assemble_simulation(
+        parity_config, parity_catalog, columnar_panel, seed=SCALE_SEED
+    )
+    object_samples = oracles.fused_collect(
         AdsManagerAPI(
-            object_sim.reach_model,
+            parity_sim.reach_model,
             platform=PlatformConfig.legacy_2017(),
             clock=SimClock(),
         ),
+        object_panel,
+        strategy,
+        max_interests=25,
+        locations=locations,
+    )
+    columnar_samples = AudienceSizeCollector(
+        parity_sim.uniqueness_api,
         columnar_panel,
         max_interests=25,
         locations=locations,
@@ -542,7 +553,7 @@ def _scale_stage(scale_users: int, parity_users: int) -> dict:
         )
         and object_samples.user_ids == columnar_samples.user_ids
     )
-    print(f"  object-vs-columnar parity at overlap scale: {parity_ok}")
+    print(f"  oracle-vs-columnar parity at overlap scale: {parity_ok}")
 
     return {
         "users": scale_users,
@@ -589,18 +600,23 @@ def run_benchmark(factor: int, n_bootstrap: int, shard_tiles: int) -> dict:
         f"interests, bootstrap={n_bootstrap} replicates"
     )
 
+    oracle_kwargs = dict(max_interests=25, locations=locations)
     print("collection (users x 25 prefix audiences):")
     panel_collect_s, panel_samples = _timed(
-        "panel (one fused matrix query)",
-        lambda: fresh_collector().collect(strategy, mode="panel"),
+        "panel (collect: shard engine)",
+        lambda: fresh_collector().collect(strategy),
     )
     batch_collect_s, batch_samples = _timed(
-        "batched (one prefix query per user)",
-        lambda: fresh_collector().collect(strategy, mode="batch"),
+        "batched oracle (one query per user)",
+        lambda: oracles.batched_collect(
+            fresh_api(), simulation.panel, strategy, **oracle_kwargs
+        ),
     )
     scalar_collect_s, scalar_samples = _timed(
-        "scalar (one API call per cell)",
-        lambda: fresh_collector().collect(strategy, mode="scalar"),
+        "scalar oracle (one call per cell)",
+        lambda: oracles.scalar_collect(
+            fresh_api(), simulation.panel, strategy, **oracle_kwargs
+        ),
     )
     collection_identical = bool(
         np.array_equal(batch_samples.matrix, scalar_samples.matrix, equal_nan=True)
@@ -624,20 +640,21 @@ def run_benchmark(factor: int, n_bootstrap: int, shard_tiles: int) -> dict:
         )
 
     lp_strategy = LeastPopularSelection()
+    one_shard = ShardExecutor(shard_size=len(big_panel))
     fused_collect_s, fused_samples = _timed(
-        "fused (one whole-panel pass)",
-        lambda: big_collector().collect(lp_strategy, mode="panel"),
+        "fused (one-shard plan)",
+        lambda: big_collector().collect(lp_strategy, executor=one_shard),
     )
     sharded_collect_s, sharded_samples = _timed(
         "sharded (multi-worker shard plan)",
-        lambda: big_collector().collect_sharded(lp_strategy, executor=executor),
+        lambda: big_collector().collect(lp_strategy, executor=executor),
     )
     sharded_identical = bool(
         np.array_equal(sharded_samples.matrix, fused_samples.matrix, equal_nan=True)
     )
     shard_gain = fused_collect_s / sharded_collect_s if sharded_collect_s else float("inf")
     print(f"  matrices bit-identical: {sharded_identical}")
-    print(f"  multi-worker vs fused panel tier: {shard_gain:.2f}x")
+    print(f"  multi-worker vs one-shard plan: {shard_gain:.2f}x")
 
     # The fault layer must be free when nothing fires: same sharded pass,
     # but with the retry/injection plumbing engaged via an all-zero plan.
@@ -651,10 +668,8 @@ def run_benchmark(factor: int, n_bootstrap: int, shard_tiles: int) -> dict:
     print("fault-tolerance layer (retry + zero-rate plan, sharded path):")
     plain_shard_s, guarded_shard_s, guarded_samples = _paired_best(
         5,
-        lambda: big_collector().collect_sharded(lp_strategy, executor=executor),
-        lambda: big_collector().collect_sharded(
-            lp_strategy, executor=guarded_executor
-        ),
+        lambda: big_collector().collect(lp_strategy, executor=executor),
+        lambda: big_collector().collect(lp_strategy, executor=guarded_executor),
     )
     print(f"  {'plain sharded (best of 5)':<38s} {plain_shard_s * 1000.0:10.1f} ms")
     print(
@@ -887,14 +902,14 @@ def run_benchmark(factor: int, n_bootstrap: int, shard_tiles: int) -> dict:
     scalar_total = scalar_collect_s + scalar_bootstrap_s
     speedup = scalar_total / batched_total if batched_total > 0 else float("inf")
     print(
-        f"collect+bootstrap: scalar {scalar_total:.3f}s vs panel "
+        f"collect+bootstrap: scalar oracle {scalar_total:.3f}s vs collect "
         f"{batched_total:.3f}s -> {speedup:.1f}x speedup"
     )
     panel_vs_batch = (
         batch_collect_s / panel_collect_s if panel_collect_s > 0 else float("inf")
     )
     print(
-        f"collect panel vs per-user batch: {panel_vs_batch:.1f}x "
+        f"collect vs per-user batched oracle: {panel_vs_batch:.1f}x "
         f"({batch_collect_s * 1000.0:.0f} ms -> {panel_collect_s * 1000.0:.0f} ms)"
     )
 
@@ -1005,15 +1020,15 @@ def main() -> int:
         "--min-panel-gain",
         type=float,
         default=None,
-        help="exit non-zero unless the panel tier beats the per-user batch "
-        "tier by this factor on the collect stage",
+        help="exit non-zero unless collect beats the per-user batched oracle "
+        "by this factor on the collect stage",
     )
     parser.add_argument(
         "--min-shard-gain",
         type=float,
         default=None,
         help="exit non-zero unless multi-worker sharded collection beats "
-        "the fused single-pass panel tier by this factor on the tiled panel",
+        "a one-shard (fused) collect by this factor on the tiled panel",
     )
     parser.add_argument(
         "--shard-tiles",
@@ -1098,7 +1113,7 @@ def main() -> int:
         type=float,
         default=None,
         help="exit non-zero unless the batched assign_rows kernel beats the "
-        "per-user reference loop by this factor on the assignment-rate stage",
+        "oracle's per-user loop by this factor on the assignment-rate stage",
     )
     args = parser.parse_args()
 

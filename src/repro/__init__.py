@@ -62,7 +62,6 @@ from .errors import (
 )
 from .faults import FaultPlan, RetryPolicy, WallClockRetryPolicy
 from .pipeline import (
-    PANEL_LAYOUTS,
     Simulation,
     assemble_simulation,
     build_catalog,
@@ -70,7 +69,6 @@ from .pipeline import (
     build_simulation,
     catalog_fingerprint,
     panel_fingerprint,
-    resolve_panel_layout,
     simulation_fingerprint,
 )
 from .scenarios import (
@@ -112,7 +110,6 @@ __all__ = [
     "FaultPlan",
     "InsufficientDataError",
     "ModelError",
-    "PANEL_LAYOUTS",
     "PanelConfig",
     "PanelError",
     "PlatformConfig",
@@ -155,7 +152,6 @@ __all__ = [
     "reset_build_cache",
     "resolve_cache_root",
     "resolve_cache_size",
-    "resolve_panel_layout",
     "run_scenario",
     "run_trace",
     "simulation_fingerprint",

@@ -35,6 +35,19 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     raise TypeError(f"cannot build a random generator from {type(seed).__name__}")
 
 
+def resolve_seed(seed: SeedLike, default: int) -> int:
+    """An integer base seed for ``seed``, falling back to ``default``.
+
+    A generator contributes one ``integers(0, 2**62)`` draw, so building
+    from ``default_rng(s)`` equals building from the integer it draws.
+    """
+    if seed is None:
+        return int(default)
+    if isinstance(seed, np.random.Generator):
+        return int(seed.integers(0, 2**62))
+    return int(seed)
+
+
 def stable_hash(*keys: object, bits: int = 64) -> int:
     """Hash ``keys`` into a non-negative integer, stable across processes.
 

@@ -37,7 +37,7 @@ from .reachestimate import (
     ReachEstimate,
     apply_reporting_floor,
     apply_reporting_floor_batch,
-    apply_reporting_floor_matrix,
+    floored_prefix_audiences,
 )
 from .targeting import TargetingSpec
 from .validation import validate_spec
@@ -376,18 +376,13 @@ class AdsManagerAPI:
         row-local and mutates no API state, which is what lets shard
         runners execute blocks of it concurrently.
         """
-        ids = np.asarray(id_matrix, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        panel_kernel = getattr(self._backend, "prefix_audiences_panel", None)
-        if panel_kernel is not None:
-            raw = panel_kernel(ids, counts, locations)
-        else:
-            # Backends without a panel kernel get the protocol's per-row
-            # default, applied as an unbound method.
-            raw = ReachBackend.prefix_audiences_panel(
-                self._backend, ids, counts, locations
-            )
-        return apply_reporting_floor_matrix(raw, self._platform.reach_floor)
+        return floored_prefix_audiences(
+            self._backend,
+            np.asarray(id_matrix, dtype=np.int64),
+            np.asarray(counts, dtype=np.int64),
+            locations,
+            self._platform.reach_floor,
+        )
 
     def audience_warnings(self, spec: TargetingSpec) -> tuple[PolicyWarning, ...]:
         """Warnings the campaign manager would display for ``spec``."""

@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import AdsApiError
+from ..reach.backend import ReachBackend
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,3 +98,28 @@ def apply_reporting_floor_matrix(raw_matrix: np.ndarray, floor: int) -> np.ndarr
         raise AdsApiError("raw_audience must be non-negative")
     reported = np.where(valid, np.maximum(np.rint(raw), float(floor)), raw)
     return reported
+
+
+def floored_prefix_audiences(
+    backend: object,
+    id_matrix: np.ndarray,
+    counts: np.ndarray,
+    locations: Sequence[str] | None,
+    floor: int | None,
+) -> np.ndarray:
+    """The bulk endpoint's pure compute stage: prefix kernel, then floor.
+
+    Runs the backend's ``prefix_audiences_panel`` (or the
+    :class:`~repro.reach.backend.ReachBackend` per-row default for backends
+    without one) and clips the result with
+    :func:`apply_reporting_floor_matrix`; ``floor=None`` returns the raw
+    audiences.  No validation and no accounting happen here.
+    """
+    kernel = getattr(backend, "prefix_audiences_panel", None)
+    if kernel is not None:
+        raw = kernel(id_matrix, counts, locations)
+    else:
+        raw = ReachBackend.prefix_audiences_panel(backend, id_matrix, counts, locations)
+    if floor is None:
+        return raw
+    return apply_reporting_floor_matrix(raw, floor)

@@ -45,7 +45,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from . import PANEL_LAYOUTS, build_simulation, default_config, quick_config
+from . import build_simulation, default_config, quick_config
 from .analysis import format_records, format_table
 from .cache import (
     BuildCache,
@@ -109,12 +109,7 @@ def _build(args: argparse.Namespace) -> Simulation:
     # The process-global cache carries a disk tier when REPRO_CACHE_ROOT
     # is set, so repeat (and warmed) CLI runs hydrate the catalog/panel
     # stages from disk; results are bit-identical either way.
-    return build_simulation(
-        config,
-        seed=args.seed,
-        cache=build_cache(),
-        panel_layout=getattr(args, "panel_layout", None),
-    )
+    return build_simulation(config, seed=args.seed, cache=build_cache())
 
 
 def _executor_from_args(simulation: Simulation, args: argparse.Namespace):
@@ -228,9 +223,7 @@ def cmd_countermeasures(args: argparse.Namespace) -> int:
     targets = experiment.select_targets(simulation.panel.users)
     baseline = experiment.run(targets)
 
-    protected_simulation = build_simulation(
-        simulation.config, seed=args.seed, panel_layout=getattr(args, "panel_layout", None)
-    )
+    protected_simulation = build_simulation(simulation.config, seed=args.seed)
     protected_experiment = protected_simulation.nanotargeting_experiment(seed=args.seed)
     protected = run_protected_experiment(
         protected_simulation.campaign_api,
@@ -772,16 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="scale divisor applied to the paper-scale configuration (1 = full scale)",
         )
         sub.add_argument("--seed", type=int, default=None, help="override the default seeds")
-        sub.add_argument(
-            "--panel-layout",
-            choices=PANEL_LAYOUTS,
-            default=None,
-            help=(
-                "panel storage layout (default: columnar, or the "
-                "REPRO_PANEL_LAYOUT environment variable); content is "
-                "bit-identical either way"
-            ),
-        )
 
     def add_exec(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(

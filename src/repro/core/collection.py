@@ -7,35 +7,26 @@ or random).  The collector reproduces that loop against the simulated API
 and arranges the results as the users x N matrix consumed by the quantile
 machinery.
 
-Three entry points produce bit-identical matrices and tiers of throughput:
+:class:`AudienceSizeCollector` runs that measurement as one engine: a
+stream of contiguous panel-row shards (:mod:`repro.exec`).  Each shard's
+strategy ordering is read straight off the panel's CSR store
+(:func:`~repro.core.selection.ordered_interest_matrix_columns`), validated
+and billed; the merged rate-limit bill of all shards is settled in one
+accounting step — exactly what one fused
+:meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix` call would spend
+— and the pure prefix-kernel blocks run on the executor's runner (serial,
+thread pool or process pool).  Two thin consumers sit on top:
 
-* ``mode="panel"`` (the default, and the supported bulk path) resolves the
-  whole panel's strategy ordering into one padded id matrix
-  (:func:`~repro.core.selection.ordered_interest_matrix`) and issues a
-  single spec-free :meth:`AdsManagerAPI.estimate_reach_matrix` call — the
-  users × N measurement becomes a handful of array sweeps with no per-user
-  Python round-trip;
-* ``mode="batch"`` (the per-user tier, kept for parity benchmarking) issues
-  one batched prefix-chain query per user through
-  :meth:`AdsManagerAPI.estimate_reach_batch`;
-* ``mode="scalar"`` (the reference tier) loops one API call per (user, N)
-  cell.
+* :meth:`AudienceSizeCollector.collect` assembles the full matrix and
+  records the merged bill in ``call_stats`` after the last block;
+* :meth:`AudienceSizeCollector.collect_stream` yields the per-shard blocks,
+  recording each shard's bill as it yields it, so downstream accumulators
+  never hold the full matrix.
 
-On top of the three tiers sits the sharded execution layer
-(:mod:`repro.exec`): :meth:`AudienceSizeCollector.collect_sharded` cuts the
-panel into contiguous row shards — each shard ordered, validated and
-kernel-evaluated independently, optionally on a thread or process pool —
-and :meth:`AudienceSizeCollector.collect_stream` yields the same per-shard
-blocks as a generator so downstream accumulators never hold the full
-matrix.  Both are bit-identical to the panel tier for every backend, worker
-count and shard size: ordering and the prefix kernel are row-local, and the
-rate-limit bill of all shards is merged and settled in one accounting step,
-exactly like the fused ``estimate_reach_matrix`` call (pinned by
-``tests/test_exec_sharding.py``).
-
-Rate-limit / call-stats accounting sees one request per (user, N) cell on
-every tier; the panel tier settles the whole bill in one vectorised
-accounting step.
+Ordering and the prefix kernel are row-local, so the result — samples,
+``call_stats``, token-bucket level and simulated clock — is bit-identical
+for every backend, worker count and shard size, and to one scalar API call
+per (user, N) cell (pinned against ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -45,21 +36,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..adsapi import AdsManagerAPI, CallBill, TargetingSpec
-from ..errors import ModelError, PanelError
+from ..adsapi import AdsManagerAPI, CallBill
+from ..errors import ModelError
 from ..exec import ShardExecutor
 from ..exec.plan import Shard
 from ..exec.tasks import ReachShardTask, run_reach_shard, shard_backend_payload
 from ..fdvt.panel import FDVTPanel
 from .quantiles import AudienceSamples
-from .selection import (
-    SelectionStrategy,
-    ordered_interest_matrix,
-    ordered_interest_matrix_columns,
-)
-
-#: Collection tiers, fastest first.
-COLLECT_MODES = ("panel", "batch", "scalar")
+from .selection import SelectionStrategy, ordered_interest_matrix_columns
 
 
 @dataclass(frozen=True)
@@ -102,115 +86,30 @@ class AudienceSizeCollector:
         return self._max_interests
 
     def collect(
-        self,
-        strategy: SelectionStrategy,
-        *,
-        mode: str | None = None,
-        batch: bool | None = None,
+        self, strategy: SelectionStrategy, *, executor: ShardExecutor | None = None
     ) -> AudienceSamples:
         """Collect the full audience-size matrix for one selection strategy.
 
         Rows correspond to panel users (in panel order) and column ``k``
         to combinations of ``k + 1`` interests; entries are ``NaN`` when the
-        user has fewer interests than the column requires.  ``mode`` picks
-        the collection tier (``"panel"`` by default — see the module
-        docstring); all tiers return bit-identical matrices.  The legacy
-        ``batch`` flag maps ``True``/``False`` to the per-user batch and
-        scalar tiers.
+        user has fewer interests than the column requires.  ``executor``
+        picks the runner backend and shard plan (serial
+        :class:`~repro.exec.ShardExecutor` by default).
+
+        The merged bill is settled before any shard computes and recorded
+        in ``call_stats`` after the last one: a shard that fails leaves the
+        settled tokens spent and no calls recorded.  Billing is
+        exactly-once under retries — shard tasks are pure compute, so an
+        executor carrying a :class:`~repro.faults.RetryPolicy` /
+        :class:`~repro.faults.FaultPlan` can re-run a shard any number of
+        times without double-charging.
         """
-        if batch is not None:
-            if mode is not None:
-                raise ModelError("pass either mode or the legacy batch flag, not both")
-            mode = "batch" if batch else "scalar"
-        mode = mode or "panel"
-        if mode not in COLLECT_MODES:
-            raise ModelError(f"unknown collection mode: {mode!r}")
-        n_users = len(self._panel)
-        matrix = np.full((n_users, self._max_interests), np.nan, dtype=float)
-        user_ids = self._user_ids()
-        if mode == "panel":
-            id_matrix, counts = self._ordered_matrix(strategy, 0, n_users)
-            if id_matrix.shape[1]:
-                values = self._api.estimate_reach_matrix(
-                    id_matrix, counts, locations=self._locations
-                )
-                matrix[:, : values.shape[1]] = values
-        else:
-            catalog = self._panel.catalog
-            for row, user in enumerate(self._panel):
-                ordered = strategy.order_interests(user, catalog, self._max_interests)
-                count = min(len(ordered), self._max_interests)
-                if count == 0:
-                    continue
-                if mode == "batch":
-                    # The chain constructor validates the longest spec once;
-                    # its prefixes are valid by construction.
-                    specs = TargetingSpec.prefix_chain(
-                        ordered[:count], locations=self._locations
-                    )
-                    estimates = self._api.estimate_reach_batch(specs)
-                    matrix[row, :count] = np.fromiter(
-                        (estimate.potential_reach for estimate in estimates),
-                        dtype=float,
-                        count=count,
-                    )
-                else:
-                    for n_interests in range(1, count + 1):
-                        spec = TargetingSpec.for_interests(
-                            ordered[:n_interests], locations=self._locations
-                        )
-                        estimate = self._api.estimate_reach(spec)
-                        matrix[row, n_interests - 1] = float(estimate.potential_reach)
-        return AudienceSamples(
-            matrix=matrix,
-            floor=self._api.platform.reach_floor,
-            user_ids=user_ids,
-        )
-
-    def collect_sharded(
-        self,
-        strategy: SelectionStrategy,
-        *,
-        executor: ShardExecutor | None = None,
-        backend: str | None = None,
-        workers: int = 1,
-        shard_size: int | None = None,
-    ) -> AudienceSamples:
-        """Collect the full matrix through the sharded execution layer.
-
-        The panel is cut into contiguous row shards
-        (:meth:`~repro.exec.ShardExecutor.plan`); each shard is ordered and
-        validated independently, the merged rate-limit bill is settled in
-        one step, and the pure kernel blocks run on the executor's runner
-        (serial, thread pool or process pool).  The assembled samples,
-        ``call_stats`` and token-bucket levels are bit-identical to
-        :meth:`collect` on the panel tier for every backend, worker count
-        and shard size.  Pass a prebuilt ``executor`` or the loose
-        ``backend`` / ``workers`` / ``shard_size`` knobs (``backend``
-        defaults to a thread pool when ``workers > 1``).
-
-        Billing is exactly-once even under retries: shard tasks are pure
-        compute (no API object, no token bucket), so an executor carrying
-        a :class:`~repro.faults.RetryPolicy` / :class:`~repro.faults.FaultPlan`
-        can re-run a shard any number of times without double-charging —
-        the coordinator settles the one merged bill above, before any
-        shard executes.
-        """
-        executor = self._resolve_executor(executor, backend, workers, shard_size)
-        runner = executor.runner()
-        jobs = self._plan_shard_jobs(strategy, executor, runner)
-        merged = CallBill.merged([job.bill for job in jobs])
-        self._api.settle_reach_bill(merged)
-        tasks = [job.task for job in jobs if job.task is not None]
-        results = iter(runner.run(run_reach_shard, tasks))
-        n_users = len(self._panel)
-        matrix = np.full((n_users, self._max_interests), np.nan, dtype=float)
-        for job in jobs:
-            if job.task is None:
-                continue
-            values = next(results)
-            matrix[job.shard.start : job.shard.stop, : values.shape[1]] = values
-        self._api.record_reach_bill(merged)
+        matrix = np.empty((len(self._panel), self._max_interests), dtype=float)
+        bills = []
+        for job, block in self._shard_blocks(strategy, executor or ShardExecutor()):
+            matrix[job.shard.rows] = block
+            bills.append(job.bill)
+        self._api.record_reach_bill(CallBill.merged(bills))
         return AudienceSamples(
             matrix=matrix,
             floor=self._api.platform.reach_floor,
@@ -218,13 +117,7 @@ class AudienceSizeCollector:
         )
 
     def collect_stream(
-        self,
-        strategy: SelectionStrategy,
-        *,
-        executor: ShardExecutor | None = None,
-        backend: str | None = None,
-        workers: int = 1,
-        shard_size: int | None = None,
+        self, strategy: SelectionStrategy, *, executor: ShardExecutor | None = None
     ) -> Iterator[AudienceSamples]:
         """Stream the collection as per-shard :class:`AudienceSamples` blocks.
 
@@ -233,15 +126,13 @@ class AudienceSizeCollector:
         every block is padded to ``max_interests`` columns, so a mergeable
         accumulator (:class:`~repro.core.quantiles.AudienceAccumulator`)
         can absorb them without ever materialising the full users x N
-        sample matrix.  Ordering metadata and rate-limit accounting are
-        resolved up front on first iteration — the merged bill of all
-        shards is settled in one step before any audience is computed,
-        matching the fused pass (with ``auto_wait=False`` the stream raises
-        before yielding anything) — after which only one audience block at
-        a time is alive on the serial backend, while pooled runners compute
-        blocks ahead of consumption.  ``call_stats`` records each shard's
-        calls as its block is yielded; a stream abandoned midway leaves the
-        settled tokens spent but later shards' calls unrecorded.
+        sample matrix.  Ordering and rate-limit settlement happen on first
+        iteration (with ``auto_wait=False`` the stream raises before
+        yielding anything), after which only one audience block at a time
+        is alive on the serial backend, while pooled runners compute blocks
+        ahead of consumption.  ``call_stats`` records each shard's calls as
+        its block is yielded; a stream abandoned or failing midway leaves
+        the settled tokens spent but later shards' calls unrecorded.
 
         Chaos note: with a kernel-depth :class:`~repro.faults.FaultPlan`
         (``depth="kernel"``), injected faults fire *inside*
@@ -251,12 +142,57 @@ class AudienceSizeCollector:
         blocks into an accumulator stays bit-identical to the fault-free
         stream (pinned by the kernel-depth chaos-parity tests).
         """
-        executor = self._resolve_executor(executor, backend, workers, shard_size)
+        floor = self._api.platform.reach_floor
+        user_ids = self._user_ids()
+        for job, block in self._shard_blocks(strategy, executor or ShardExecutor()):
+            self._api.record_reach_bill(job.bill)
+            yield AudienceSamples(
+                matrix=block, floor=floor, user_ids=user_ids[job.shard.rows]
+            )
+
+    def collect_for_users(
+        self, strategy: SelectionStrategy, user_ids: Sequence[int]
+    ) -> AudienceSamples:
+        """Collect the matrix for a subset of panel users (demographic groups).
+
+        Rows follow the caller's requested order, with duplicate ids
+        collapsed to their first occurrence and unknown ids ignored.  The
+        sub-panel is a row gather on the CSR store — no user objects are
+        materialised.
+        """
+        columns = self._panel.columns
+        row_of = {uid: row for row, uid in enumerate(columns.user_ids.tolist())}
+        rows = list(
+            dict.fromkeys(
+                row_of[uid] for uid in map(int, user_ids) if uid in row_of
+            )
+        )
+        if not rows:
+            raise ModelError("no panel users match the requested ids")
+        sub_panel = FDVTPanel.from_columns(
+            columns.take(np.array(rows, dtype=np.int64)), self._panel.catalog
+        )
+        collector = AudienceSizeCollector(
+            self._api,
+            sub_panel,
+            max_interests=self._max_interests,
+            locations=self._locations,
+        )
+        return collector.collect(strategy)
+
+    # -- the engine ------------------------------------------------------------------
+
+    def _shard_blocks(
+        self, strategy: SelectionStrategy, executor: ShardExecutor
+    ) -> Iterator[tuple[_ShardJob, np.ndarray]]:
+        """Plan every shard, settle the merged bill once, then yield blocks.
+
+        Each yielded block is the shard's ``(rows, max_interests)`` matrix,
+        ``NaN``-padded.  Bills are left for the caller to record.
+        """
         runner = executor.runner()
         jobs = self._plan_shard_jobs(strategy, executor, runner)
         self._api.settle_reach_bill(CallBill.merged([job.bill for job in jobs]))
-        floor = self._api.platform.reach_floor
-        user_ids = self._user_ids()
         tasks = [job.task for job in jobs if job.task is not None]
         results = runner.stream(run_reach_shard, tasks)
         for job in jobs:
@@ -264,61 +200,7 @@ class AudienceSizeCollector:
             if job.task is not None:
                 values = next(results)
                 block[:, : values.shape[1]] = values
-            self._api.record_reach_bill(job.bill)
-            yield AudienceSamples(
-                matrix=block,
-                floor=floor,
-                user_ids=user_ids[job.shard.start : job.shard.stop],
-            )
-
-    def _resolve_executor(
-        self,
-        executor: ShardExecutor | None,
-        backend: str | None,
-        workers: int,
-        shard_size: int | None,
-    ) -> ShardExecutor:
-        if executor is not None:
-            if backend is not None or workers != 1 or shard_size is not None:
-                raise ModelError(
-                    "pass either an executor or the loose backend/workers/"
-                    "shard_size knobs, not both"
-                )
-            return executor
-        if backend is None:
-            backend = "thread" if workers > 1 else "serial"
-        return ShardExecutor(backend=backend, workers=workers, shard_size=shard_size)
-
-    def _user_ids(self) -> tuple[int, ...]:
-        """Panel user ids in row order, without materialising user objects."""
-        if self._panel.has_columns:
-            return tuple(self._panel.columns.user_ids.tolist())
-        return tuple(user.user_id for user in self._panel)
-
-    def _ordered_matrix(
-        self, strategy: SelectionStrategy, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Ordered id matrix for panel rows ``[start, stop)``, layout-aware.
-
-        Column-backed panels feed the kernel input straight from the CSR
-        store; object panels keep the user-tuple path.  Both orderings are
-        bit-identical (pinned by the columnar parity suite).
-        """
-        if self._panel.has_columns:
-            return ordered_interest_matrix_columns(
-                strategy,
-                self._panel.columns,
-                self._panel.catalog,
-                self._max_interests,
-                start,
-                stop,
-            )
-        return ordered_interest_matrix(
-            strategy,
-            self._panel.users[start:stop],
-            self._panel.catalog,
-            self._max_interests,
-        )
+            yield job, block
 
     def _plan_shard_jobs(
         self,
@@ -328,16 +210,24 @@ class AudienceSizeCollector:
     ) -> list[_ShardJob]:
         """Order, validate and bill every shard (no tokens spent yet).
 
-        Per-shard ordering is bit-identical to the global pass (every row
-        depends only on its own user) and — like the per-shard kernels —
-        faster than one fused sweep at scale because each shard's sort
-        stays cache-resident.
+        Per-shard ordering is bit-identical to one whole-panel pass (every
+        row depends only on its own user) and faster at scale, because each
+        shard's sort stays cache-resident.
         """
         payload = shard_backend_payload(self._api.backend, runner)
         floor = self._api.platform.reach_floor
+        columns = self._panel.columns
         jobs: list[_ShardJob] = []
-        for shard in executor.plan(len(self._panel)):
-            ids, counts = self._ordered_matrix(strategy, shard.start, shard.stop)
+        for shard in executor.plan(len(columns)):
+            ids, counts = ordered_interest_matrix_columns(
+                strategy,
+                columns,
+                self._panel.catalog,
+                self._max_interests,
+                shard.start,
+                shard.stop,
+            )
+            task = None
             if ids.shape[1]:
                 ids, counts, locations = self._api.validate_reach_matrix(
                     ids, counts, locations=self._locations
@@ -349,69 +239,13 @@ class AudienceSizeCollector:
                     locations=locations,
                     floor=floor,
                 )
-            else:
-                task = None
             jobs.append(
                 _ShardJob(
-                    shard=shard,
-                    bill=self._api.reach_matrix_bill(counts),
-                    task=task,
+                    shard=shard, bill=self._api.reach_matrix_bill(counts), task=task
                 )
             )
         return jobs
 
-    def collect_for_users(
-        self,
-        strategy: SelectionStrategy,
-        user_ids: Sequence[int],
-        *,
-        mode: str | None = None,
-    ) -> AudienceSamples:
-        """Collect the matrix for a subset of panel users (demographic groups).
-
-        Users are resolved through the panel's id index (no full-panel scan)
-        and rows follow the caller's requested order, with duplicate ids
-        collapsed to their first occurrence and unknown ids ignored.  On a
-        column-backed panel the sub-panel is a row gather on the CSR store
-        — no user objects are materialised.
-        """
-        if self._panel.has_columns:
-            columns = self._panel.columns
-            row_of = {uid: row for row, uid in enumerate(columns.user_ids.tolist())}
-            rows: list[int] = []
-            seen: set[int] = set()
-            for user_id in user_ids:
-                user_id = int(user_id)
-                if user_id in seen:
-                    continue
-                seen.add(user_id)
-                row = row_of.get(user_id)
-                if row is not None:
-                    rows.append(row)
-            if not rows:
-                raise ModelError("no panel users match the requested ids")
-            sub_panel = FDVTPanel.from_columns(
-                columns.take(np.array(rows, dtype=np.int64)), self._panel.catalog
-            )
-        else:
-            users = []
-            seen = set()
-            for user_id in user_ids:
-                user_id = int(user_id)
-                if user_id in seen:
-                    continue
-                seen.add(user_id)
-                try:
-                    users.append(self._panel.get(user_id))
-                except PanelError:
-                    continue
-            if not users:
-                raise ModelError("no panel users match the requested ids")
-            sub_panel = self._panel.subset(users)
-        collector = AudienceSizeCollector(
-            self._api,
-            sub_panel,
-            max_interests=self._max_interests,
-            locations=self._locations,
-        )
-        return collector.collect(strategy, mode=mode)
+    def _user_ids(self) -> tuple[int, ...]:
+        """Panel user ids in row order, without materialising user objects."""
+        return tuple(self._panel.columns.user_ids.tolist())

@@ -15,21 +15,17 @@ prefixes are the combinations evaluated for each ``N``; this mirrors the
 paper's construction, where interests are added one by one ("we keep adding
 the following least popular interests sequentially one by one").
 
-For panel-scale collection, :func:`ordered_interest_matrix` resolves every
-user's ordered ids into one padded ``(n_users, width)`` id matrix.  A
-strategy may provide a vectorised ``order_interests_matrix`` (the
-least-popular strategy orders all users in a single global sort over
-id-indexed catalog popularity arrays); otherwise the per-user
-``order_interests`` is looped, so any strategy is panel-capable and every
-row is bit-identical to the scalar ordering either way.
-
-Columnar panels skip the user objects entirely:
-:func:`ordered_interest_matrix_columns` reads a row range straight out of a
-:class:`~repro.population.columnar.PanelColumns` CSR store.  The
-least-popular core is shared flat-array code either way, and the random
-strategy shuffles each CSR row slice with the same per-user-id stream the
-object path derives, so the produced matrices are bit-identical across
-layouts.
+For panel-scale collection, :func:`ordered_interest_matrix_columns` reads
+a row range straight out of a
+:class:`~repro.population.columnar.PanelColumns` CSR store and resolves
+every row's ordered ids into one padded ``(n_rows, width)`` id matrix.
+The least-popular strategy orders all rows in a single global sort over
+id-indexed catalog popularity arrays; the random strategy shuffles each CSR
+row slice with the same per-user-id stream :meth:`RandomSelection.order_interests`
+derives; any other strategy falls back to its per-user ``order_interests``.
+Every row is bit-identical to the per-user ordering either way.
+:func:`ordered_interest_matrix` is the same call for a sequence of user
+objects.
 """
 
 from __future__ import annotations
@@ -74,33 +70,6 @@ class LeastPopularSelection:
         audiences.sort()
         return tuple(interest_id for _, interest_id in audiences[:max_interests])
 
-    def order_interests_matrix(
-        self,
-        users: Sequence[SyntheticUser],
-        catalog: InterestCatalog,
-        max_interests: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`order_interests` over a whole panel.
-
-        All users' interest ids are resolved against the catalog's
-        id-indexed audience array with one ``searchsorted`` and ordered with
-        one global ``lexsort`` keyed ``(row, audience, id)`` — the same
-        ``(audience, id)`` ascending order the scalar tuple sort produces,
-        so every row is bit-identical to the per-user path.  Returns the
-        padded id matrix and per-user counts (see
-        :func:`ordered_interest_matrix` for the layout).
-        """
-        if max_interests < 1:
-            raise ModelError("max_interests must be >= 1")
-        full_counts = np.array([user.interest_count for user in users], dtype=np.int64)
-        total = int(full_counts.sum())
-        flat_ids = np.fromiter(
-            (i for user in users for i in user.interest_ids),
-            dtype=np.int64,
-            count=total,
-        )
-        return _order_least_popular_flat(flat_ids, full_counts, catalog, max_interests)
-
     def order_interests_matrix_columns(
         self,
         columns: PanelColumns,
@@ -112,8 +81,13 @@ class LeastPopularSelection:
         """Vectorised ordering over rows ``[start, stop)`` of a CSR store.
 
         The flat id fragment and per-row lengths come straight off the CSR
-        arrays — no user objects — and feed the same global-sort core as
-        :meth:`order_interests_matrix`.
+        arrays — no user objects.  Every id is resolved against the
+        catalog's id-indexed audience array with one ``searchsorted`` and
+        ordered with one global ``lexsort`` keyed ``(row, audience, id)`` —
+        the same ``(audience, id)`` ascending order the per-user tuple sort
+        of :meth:`order_interests` produces, so every row is bit-identical
+        to it.  Returns the padded id matrix and per-row counts (see
+        :func:`ordered_interest_matrix_columns` for the layout).
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -162,7 +136,7 @@ class RandomSelection:
 
         Each row's slice is copied to int64 and shuffled with the stream
         derived from its user id — the draw sequence depends only on the
-        row length, so it matches the object path's list shuffle exactly.
+        row length, so it matches :meth:`order_interests` exactly.
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -191,10 +165,10 @@ def _order_least_popular_flat(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Global least-popular sort of concatenated per-user id segments.
 
-    The shared core of both least-popular bulk paths: resolve every id
-    against the catalog's id-indexed audience array with one
-    ``searchsorted``, order with one ``lexsort`` keyed ``(row, audience,
-    id)``, and pack the leading ``max_interests`` of each segment.
+    Resolve every id against the catalog's id-indexed audience array with
+    one ``searchsorted``, order with one ``lexsort`` keyed ``(row,
+    audience, id)``, and pack the leading ``max_interests`` of each
+    segment.
     """
     sorted_ids = catalog.interest_ids
     positions = np.searchsorted(sorted_ids, flat_ids)
@@ -237,7 +211,7 @@ def pad_id_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(id_matrix, counts)`` in the convention every bulk kernel
     consumes (``-1`` padding, ``width = max(counts)``; see
-    :func:`ordered_interest_matrix`).  This is the entry point for callers
+    :func:`ordered_interest_matrix_columns`).  This is the entry point for callers
     whose rows are already ordered — the countermeasure workload evaluation
     and the nanotargeting planner — so the padding convention lives in one
     place.
@@ -257,32 +231,14 @@ def ordered_interest_matrix(
     catalog: InterestCatalog,
     max_interests: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered interest ids of every user as one padded id matrix.
+    """Ordered interest ids of ``users`` as one padded id matrix.
 
-    Returns ``(id_matrix, counts)`` where ``id_matrix`` is a
-    ``(n_users, width)`` int64 matrix (``width = max(counts)``, capped at
-    ``max_interests``), row ``u`` holds
-    ``strategy.order_interests(users[u], catalog, max_interests)`` in its
-    first ``counts[u]`` cells and ``-1`` padding beyond.  Strategies with a
-    vectorised ``order_interests_matrix`` (least popular) resolve the whole
-    panel in one pass; other strategies fall back to looping the scalar
-    ordering — rows are bit-identical either way.
+    Encodes the users into a :class:`PanelColumns` store and delegates to
+    :func:`ordered_interest_matrix_columns`.
     """
-    if max_interests < 1:
-        raise ModelError("max_interests must be >= 1")
-    panel_order = getattr(strategy, "order_interests_matrix", None)
-    if panel_order is not None:
-        return panel_order(users, catalog, max_interests)
-    ordered_rows = [
-        strategy.order_interests(user, catalog, max_interests) for user in users
-    ]
-    counts = np.array([len(row) for row in ordered_rows], dtype=np.int64)
-    flat_sorted = np.fromiter(
-        (i for row in ordered_rows for i in row),
-        dtype=np.int64,
-        count=int(counts.sum()),
+    return ordered_interest_matrix_columns(
+        strategy, PanelColumns.from_users(users), catalog, max_interests
     )
-    return _pack_ordered_rows(flat_sorted, counts, counts)
 
 
 def ordered_interest_matrix_columns(
@@ -295,11 +251,14 @@ def ordered_interest_matrix_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ordered id matrix for rows ``[start, stop)`` of a CSR store.
 
-    The columnar counterpart of :func:`ordered_interest_matrix`: built-in
-    strategies consume the CSR slice directly via
+    Returns ``(id_matrix, counts)`` where ``id_matrix`` is a
+    ``(n_rows, width)`` int64 matrix (``width = max(counts)``, capped at
+    ``max_interests``): row ``r`` holds
+    ``strategy.order_interests(columns.user_at(start + r), catalog,
+    max_interests)`` in its first ``counts[r]`` cells and ``-1`` padding
+    beyond.  Built-in strategies consume the CSR slice directly via
     ``order_interests_matrix_columns``; a strategy without that hook gets
-    its protocol users materialised row by row and the result is identical
-    (the per-row orderings do not depend on the storage layout).
+    its protocol users materialised row by row, with the same result.
     """
     if max_interests < 1:
         raise ModelError("max_interests must be >= 1")

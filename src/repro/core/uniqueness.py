@@ -6,27 +6,20 @@ confidence intervals, and produces the :class:`UniquenessReport` rows of
 Table 1 plus the VAS(Q) curves of Figures 3-5.
 
 Both heavy stages run on the batched kernels: :meth:`UniquenessModel.collect`
-rides the collector's panel tier — one vectorised strategy-ordering pass
-plus one spec-free :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix`
-call for the whole users × N matrix (the per-user
-:meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_batch` and scalar tiers
-remain available through :class:`AudienceSizeCollector` for parity
-benchmarking) — and :meth:`UniquenessModel.estimate` computes its
-confidence intervals with the vectorised
-:func:`~repro.core.bootstrap.bootstrap_cutpoints`.  All tiers are
-bit-identical; the panel tier is several times faster again at paper scale
-(see ``benchmarks/bench_perf_hot_paths.py``).
+runs the collector's shard engine — per-shard strategy ordering off the
+panel's CSR store plus the prefix-reach kernel, with one merged rate-limit
+bill for the whole users × N matrix — and :meth:`UniquenessModel.estimate`
+computes its confidence intervals with the vectorised
+:func:`~repro.core.bootstrap.bootstrap_cutpoints`.
 
-On top of the tiers sits the sharded execution layer (:mod:`repro.exec`):
-pass a :class:`~repro.exec.ShardExecutor` to run collection shard-parallel
-(:meth:`UniquenessModel.collect` / :meth:`UniquenessModel.estimate` with
-``executor=...``), or set ``stream=True`` to run the whole collection →
-quantiles → bootstrap chain through the mergeable
+Pass a :class:`~repro.exec.ShardExecutor` (``executor=...``) to run both
+stages on a thread or process pool, or set ``stream=True`` to run the whole
+collection → quantiles → bootstrap chain through the mergeable
 :class:`~repro.core.quantiles.AudienceAccumulator` without ever
 materialising the users × N sample matrix.  Every route returns
 bit-identical estimates.  Collected samples are cached per
-``(strategy, tier)`` — a refreshed panel-tier result is never silently
-served to a caller that asked for a different tier — and
+``(strategy, route, shard plan)`` — a caller that asked for a specific
+plan never gets a result silently served from a different one — and
 :meth:`UniquenessModel.cache_clear` drops the cache wholesale.
 """
 
@@ -94,34 +87,19 @@ class UniquenessModel:
         strategy: SelectionStrategy,
         *,
         refresh: bool = False,
-        mode: str | None = None,
         executor: ShardExecutor | None = None,
     ) -> AudienceSamples:
         """Collect (or return cached) audience samples for one strategy.
 
-        ``mode`` picks a collection tier (``"panel"`` by default) and
-        ``executor`` routes collection through the sharded execution layer
-        instead; the two are mutually exclusive.  Results are cached per
-        ``(strategy, tier)``: all tiers return bit-identical samples, but a
-        caller that asked for a specific tier or shard plan never gets a
-        result silently served from a different one (and ``refresh`` only
-        refreshes its own tier's entry).
+        ``executor`` picks the runner backend and shard plan (serial by
+        default).  Results are cached per ``(strategy, shard plan)``: every
+        plan returns bit-identical samples, but ``refresh`` only refreshes
+        the entry of the plan it was given.
         """
-        if mode is not None and executor is not None:
-            raise ModelError("pass either mode or executor, not both")
-        if executor is not None:
-            tier: tuple = ("sharded", *executor.fingerprint)
-        else:
-            tier = (mode or "panel",)
-        key = (strategy_fingerprint(strategy), tier)
+        executor = executor or ShardExecutor()
+        key = (strategy_fingerprint(strategy), ("collect", *executor.fingerprint))
         if refresh or key not in self._cache:
-            if executor is not None:
-                samples: AudienceSamples = self._collector.collect_sharded(
-                    strategy, executor=executor
-                )
-            else:
-                samples = self._collector.collect(strategy, mode=mode)
-            self._cache[key] = samples
+            self._cache[key] = self._collector.collect(strategy, executor=executor)
         return self._cache[key]
 
     def collect_streamed(
@@ -137,9 +115,9 @@ class UniquenessModel:
         :meth:`~repro.core.collection.AudienceSizeCollector.collect_stream`
         drain into an :class:`~repro.core.quantiles.AudienceAccumulator`;
         the finalized column store answers quantile and bootstrap queries
-        bit-identically to the materialised tiers without the full users × N
+        bit-identically to :meth:`collect` without the full users × N
         matrix ever existing.  Cached per ``(strategy, shard plan)`` like
-        the other tiers.
+        :meth:`collect`.
         """
         executor = executor or ShardExecutor()
         key = (strategy_fingerprint(strategy), ("stream", *executor.fingerprint))
@@ -153,7 +131,7 @@ class UniquenessModel:
         return samples
 
     def cache_clear(self) -> None:
-        """Drop every cached collection (all strategies, all tiers)."""
+        """Drop every cached collection (all strategies, all routes)."""
         self._cache.clear()
 
     # -- estimation -------------------------------------------------------------------

@@ -21,16 +21,15 @@ collect calls:
   result at once;
 * :class:`~repro.exec.executor.ShardExecutor` bundles a backend choice, a
   worker count and a shard-size policy into the single handle the
-  measurement stack (``AudienceSizeCollector.collect_sharded`` /
+  measurement stack (``AudienceSizeCollector.collect`` /
   ``collect_stream``, ``UniquenessModel``, the countermeasure evaluation,
   the CLI) threads through.
 
 Sharding is not only a multi-core story: even single-threaded, per-shard
-ordering and kernels beat the fused whole-panel pass because the working
-set of one shard stays cache-resident (see
-``benchmarks/bench_perf_hot_paths.py``).  Every sharded path is pinned
-bit-identical — samples *and* rate-limit accounting — to the fused panel
-tier by ``tests/test_exec_sharding.py``.
+ordering and kernels beat one whole-panel pass because the working set of
+one shard stays cache-resident (see ``benchmarks/bench_perf_hot_paths.py``).
+Every backend, worker count and shard size is pinned bit-identical —
+samples *and* rate-limit accounting — by ``tests/test_exec_sharding.py``.
 
 The layer carries more than collection: ``bootstrap_cutpoints`` fans its
 replicate chunks over the same runners, ``FDVTExtension.build_risk_reports``

@@ -1,6 +1,6 @@
 """The user-facing handle bundling a runner backend with a shard policy.
 
-Measurement entry points (``AudienceSizeCollector.collect_sharded`` /
+Measurement entry points (``AudienceSizeCollector.collect`` /
 ``collect_stream``, ``UniquenessModel``, the countermeasure evaluation, the
 CLI's ``--workers`` / ``--exec-backend`` flags) accept one
 :class:`ShardExecutor` instead of loose knobs, so the same execution choice

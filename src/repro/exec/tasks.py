@@ -22,10 +22,9 @@ from typing import Any
 
 import numpy as np
 
-from ..adsapi.reachestimate import apply_reporting_floor_matrix
+from ..adsapi.reachestimate import floored_prefix_audiences
 from ..cache import SpecMemo, build_cache
 from ..faults import fire_inner
-from ..reach.backend import ReachBackend
 from ..reach.model import ReachModelSpec
 
 #: Bounded per-process memo of models rebuilt from specs, keyed by the
@@ -105,16 +104,10 @@ def run_reach_shard(task: ReachShardTask) -> np.ndarray:
     boundary.
     """
     fire_inner("kernel")
-    backend = resolve_backend(task.backend)
-    kernel = getattr(backend, "prefix_audiences_panel", None)
-    if kernel is not None:
-        raw = kernel(task.id_matrix, task.counts, task.locations)
-    else:
-        # Backends without a panel kernel get the protocol's per-row
-        # default, applied as an unbound method.
-        raw = ReachBackend.prefix_audiences_panel(
-            backend, task.id_matrix, task.counts, task.locations
-        )
-    if task.floor is None:
-        return raw
-    return apply_reporting_floor_matrix(raw, task.floor)
+    return floored_prefix_audiences(
+        resolve_backend(task.backend),
+        task.id_matrix,
+        task.counts,
+        task.locations,
+        task.floor,
+    )

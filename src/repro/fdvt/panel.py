@@ -17,19 +17,17 @@ Demographic groups receive slightly different popularity biases so that the
 directional differences of Appendix C (women, adolescents and Argentinian
 users need more random interests to become unique) emerge from the data.
 
-The panel has two storage modes with one API.  The object mode wraps a
-tuple of :class:`SyntheticUser`; the columnar mode
-(:meth:`FDVTPanel.from_columns`, built by :meth:`PanelBuilder.build_columns`)
-wraps a :class:`~repro.population.columnar.PanelColumns` store, computes
-every dataset statistic as an array sweep, cuts demographic sub-panels by
-boolean mask, and only materialises user objects when a legacy accessor
-(:attr:`FDVTPanel.users`, iteration, :meth:`FDVTPanel.get`) asks for them.
-Both modes hold bit-identical content for the same seed — the builders
-consume identical RNG streams, and the columnar mode's interest shards run
-through the batched
-:meth:`~repro.population.assignment.InterestAssigner.assign_rows` kernel
-(see :mod:`repro.population.generation`'s stream contract for the per-row
-draw order the kernel preserves).
+Every panel is backed by one
+:class:`~repro.population.columnar.PanelColumns` store.
+:meth:`PanelBuilder.build` generates it directly (its per-user interest
+shards run through the batched
+:meth:`~repro.population.assignment.InterestAssigner.assign_rows` kernel;
+see :mod:`repro.population.generation`'s stream contract), and a panel
+built from user objects (:class:`FDVTPanel` itself, :meth:`FDVTPanel.from_dicts`)
+encodes its store once, on first use.  Every dataset statistic is an array
+sweep, demographic sub-panels are boolean-mask cuts, and user objects are
+only materialised when an accessor (:attr:`FDVTPanel.users`, iteration,
+:meth:`FDVTPanel.get`) asks for them.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .._rng import SeedLike, derive_generator
+from .._rng import SeedLike, derive_generator, resolve_seed
 from ..catalog import InterestCatalog
 from ..config import PanelConfig
 from ..errors import PanelError
@@ -121,15 +119,6 @@ class FDVTPanel:
         if self._columns is None:
             self._columns = PanelColumns.from_users(self._users)  # type: ignore[arg-type]
         return self._columns
-
-    @property
-    def has_columns(self) -> bool:
-        """True when the columnar store has been realised already.
-
-        Collection paths use this to choose the CSR fast path without
-        forcing an object-mode panel to pay the one-off encode.
-        """
-        return self._columns is not None
 
     # -- container protocol ------------------------------------------------------
 
@@ -260,61 +249,18 @@ class PanelBuilder:
         """The panel configuration in use."""
         return self._config
 
-    def build(self, seed: SeedLike = None) -> FDVTPanel:
-        """Build the panel deterministically from ``seed`` (object path)."""
-        config = self._config
-        base_seed = self._resolve_seed(seed)
-        codes, country_index = self._assign_country_index(config.n_users, base_seed)
-        gender_index = self._assign_gender_index(config, base_seed)
-        age_group_index = self._assign_age_group_index(config, base_seed)
-        counts = self._count_model().sample(
-            config.n_users, derive_generator(base_seed, "panel-interest-counts")
-        )
-        base_bias = _bias_table(codes)[gender_index, age_group_index, country_index]
-
-        task = InterestShardTask(
-            assigner=self._assigner,
-            base_seed=base_seed,
-            seed_key="panel-user",
-            start=0,
-            stop=config.n_users,
-            counts=counts,
-            topics_per_user=self._topics_per_user,
-            age_group_index=age_group_index,
-            base_bias=base_bias,
-            bias_jitter=float(config.popularity_bias_jitter),
-        )
-        flat_ids, row_counts, ages = run_interest_shard(task)
-        users = []
-        cursor = 0
-        for index in range(config.n_users):
-            stop = cursor + int(row_counts[index])
-            age = int(ages[index])  # type: ignore[index]
-            users.append(
-                SyntheticUser(
-                    user_id=index,
-                    country=codes[country_index[index]],
-                    gender=GENDER_TABLE[gender_index[index]],
-                    age=None if age < 0 else age,
-                    interest_ids=tuple(int(i) for i in flat_ids[cursor:stop]),
-                )
-            )
-            cursor = stop
-        return FDVTPanel(users, self._catalog)
-
-    def build_columns(
+    def build(
         self, seed: SeedLike = None, *, executor: ShardExecutor | None = None
     ) -> FDVTPanel:
-        """Build the panel as a columnar store (no user objects).
+        """Build the panel deterministically from ``seed`` (no user objects).
 
-        Bit-identical to :meth:`build` for the same seed.  ``executor``
-        shards the per-user assignment stage over contiguous row ranges
-        (serial by default); every backend, worker count and shard size
-        produces the same columns, because each row re-derives its own
-        ``derive_generator(base_seed, "panel-user", index)`` stream.
+        ``executor`` shards the per-user assignment stage over contiguous
+        row ranges (serial by default); every backend, worker count and
+        shard size produces the same columns, because each row re-derives
+        its own ``derive_generator(base_seed, "panel-user", index)`` stream.
         """
         config = self._config
-        base_seed = self._resolve_seed(seed)
+        base_seed = resolve_seed(seed, config.seed)
         codes, country_index = self._assign_country_index(config.n_users, base_seed)
         gender_index = self._assign_gender_index(config, base_seed)
         age_group_index = self._assign_age_group_index(config, base_seed)
@@ -356,13 +302,10 @@ class PanelBuilder:
         )
         return FDVTPanel.from_columns(columns, self._catalog)
 
-    # -- internals -----------------------------------------------------------------
+    #: Alias of :meth:`build`; the end-to-end benchmark's tracer probes both names.
+    build_columns = build
 
-    def _resolve_seed(self, seed: SeedLike) -> int:
-        base_seed = self._config.seed if seed is None else seed
-        if isinstance(base_seed, np.random.Generator):
-            base_seed = int(base_seed.integers(0, 2**62))
-        return int(base_seed)
+    # -- internals -----------------------------------------------------------------
 
     def _count_model(self) -> InterestCountModel:
         return InterestCountModel(

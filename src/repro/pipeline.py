@@ -18,7 +18,8 @@ The build is three stages, split along its cost structure:
 * :func:`build_catalog` — generate the interest catalog (the dominant cost
   together with the panel);
 * :func:`build_panel` — assign interests to the FDVT panel on top of a
-  catalog;
+  catalog, straight into its columnar store (the only panel layout, and
+  what a cache's disk tier hydrates too);
 * :func:`assemble_simulation` — wire the cheap, *mutable* per-run shell
   (reach model, the two platform APIs with fresh clocks and rate limiters,
   delivery engine, click log) around the two expensive artifacts.
@@ -37,7 +38,6 @@ is byte-for-byte the pre-cache behaviour.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ._rng import derive_seed
@@ -52,35 +52,12 @@ from .core import (
     UniquenessModel,
 )
 from .delivery import ClickLog, DeliveryEngine
-from .errors import ConfigurationError
 from .exec import ShardExecutor
 from .fdvt import FDVTExtension, FDVTPanel, PanelBuilder
 from .io.artifacts import CATALOG_CODEC, PanelArtifactCodec
 from .population import AssignerSpec, InterestAssigner
 from .reach import ReachModelSpec, StatisticalReachModel, country_codes
 from .simclock import SimClock
-
-#: Supported panel storage layouts — columnar is the default since the
-#: million-user scale-up; ``"objects"`` keeps the original
-#: tuple-of-SyntheticUser panel.  Both hold bit-identical content.
-PANEL_LAYOUTS = ("columnar", "objects")
-
-
-def resolve_panel_layout(layout: str | None = None) -> str:
-    """Resolve the panel storage layout for this run.
-
-    Explicit ``layout`` wins, then the ``REPRO_PANEL_LAYOUT`` environment
-    variable, then the ``"columnar"`` default.  The resolved value is what
-    sweeps record in their run manifests, so resumed runs cannot silently
-    mix layouts.
-    """
-    resolved = layout or os.environ.get("REPRO_PANEL_LAYOUT") or "columnar"
-    if resolved not in PANEL_LAYOUTS:
-        raise ConfigurationError(
-            f"unknown panel layout: {resolved!r} (expected one of {PANEL_LAYOUTS})"
-        )
-    return resolved
-
 
 @dataclass(frozen=True)
 class Simulation:
@@ -137,10 +114,9 @@ class Simulation:
         """A :class:`~repro.exec.ShardExecutor` for panel-scale fan-outs.
 
         The handle threads through ``UniquenessModel`` /
-        ``AudienceSizeCollector.collect_sharded`` / ``collect_stream`` and
-        the countermeasure evaluation; every backend and worker count
-        returns bit-identical results, so the choice is purely about
-        hardware.
+        ``AudienceSizeCollector.collect`` / ``collect_stream`` and the
+        countermeasure evaluation; every backend and worker count returns
+        bit-identical results, so the choice is purely about hardware.
         """
         return ShardExecutor(backend=backend, workers=workers, shard_size=shard_size)
 
@@ -238,27 +214,19 @@ def build_panel(
     seed: int | None = None,
     catalog: InterestCatalog | None = None,
     cache: BuildCache | None = None,
-    layout: str | None = None,
     executor: ShardExecutor | None = None,
 ) -> FDVTPanel:
     """Build (or fetch) the FDVT panel stage of ``config``.
 
     Builds on ``catalog`` when given (it must be the catalog stage of the
     same (config, seed) — the fingerprint assumes so), otherwise resolves
-    the catalog stage itself through the same ``cache``.
-
-    ``layout`` picks the storage mode (see :func:`resolve_panel_layout`);
-    the columnar and object panels hold bit-identical content, so the
-    cache key (:func:`panel_fingerprint`) is layout-free and a cached
-    panel of either mode satisfies both — a panel hydrated from a cache's
-    disk tier is always columnar, for the same reason.  ``executor``
-    shards the columnar generation loop (serial by default; ignored for
-    object layout).
+    the catalog stage itself through the same ``cache``.  ``executor``
+    shards the generation loop (serial by default); every plan builds the
+    same columns, so it does not enter the cache key.
     """
     if catalog is None:
         catalog = build_catalog(config, seed=seed, cache=cache)
     stage_seed = _panel_seed(config, seed)
-    resolved_layout = resolve_panel_layout(layout)
 
     def assemble() -> FDVTPanel:
         boost = 1.0 + 10.0 * config.reach.topic_affinity_boost
@@ -272,9 +240,7 @@ def build_panel(
         )
         assigner = InterestAssigner(catalog, topic_affinity_boost=boost, spec=spec)
         builder = PanelBuilder(catalog, config.panel, assigner=assigner)
-        if resolved_layout == "columnar":
-            return builder.build_columns(seed=stage_seed, executor=executor)
-        return builder.build(seed=stage_seed)
+        return builder.build(seed=stage_seed, executor=executor)
 
     if cache is None:
         return assemble()
@@ -333,7 +299,6 @@ def build_simulation(
     *,
     seed: int | None = None,
     cache: BuildCache | None = None,
-    panel_layout: str | None = None,
 ) -> Simulation:
     """Build a fully wired :class:`Simulation` from ``config``.
 
@@ -346,12 +311,8 @@ def build_simulation(
     catalog and panel stages; results are bit-identical with and without
     it (catalog generation and panel assembly are deterministic in their
     fingerprinted inputs), so callers opt in purely for speed.
-    ``panel_layout`` picks the panel storage mode (columnar by default —
-    see :func:`resolve_panel_layout`); content is layout-independent.
     """
     config = config or default_config()
     catalog = build_catalog(config, seed=seed, cache=cache)
-    panel = build_panel(
-        config, seed=seed, catalog=catalog, cache=cache, layout=panel_layout
-    )
+    panel = build_panel(config, seed=seed, catalog=catalog, cache=cache)
     return assemble_simulation(config, catalog, panel, seed=seed)

@@ -24,7 +24,6 @@ from .generation import (
     clear_spec_memo,
     resolve_assigner,
     run_interest_shard,
-    run_interest_shard_reference,
 )
 from .population import Population, PopulationReachBackend
 from .sampling import InterestCountModel
@@ -54,7 +53,6 @@ __all__ = [
     "clear_spec_memo",
     "resolve_assigner",
     "run_interest_shard",
-    "run_interest_shard_reference",
     "sample_age",
     "sample_ages",
     "sample_gender_index",

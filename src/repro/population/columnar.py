@@ -36,9 +36,10 @@ Bridge contract
 ``PanelColumns.from_users(users)`` and ``columns.to_users()`` are exact
 inverses: round-tripping reproduces the same ``SyntheticUser`` tuples
 bit-for-bit (ids, countries, genders, ages, interest order).  Builders
-guarantee the stronger property that ``build_columns(seed)`` decodes to
-exactly what ``build(seed)`` constructs, because both paths consume the
-same per-user RNG streams (see :mod:`repro.population.generation`).
+guarantee the stronger property that ``build(seed)`` decodes to exactly the
+users one ``assign`` call per user would construct, because the batched
+kernel consumes the same per-user RNG streams (see
+:mod:`repro.population.generation`).
 """
 
 from __future__ import annotations

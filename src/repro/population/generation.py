@@ -1,17 +1,16 @@
 """Sharded, bit-identical generation of columnar user panels.
 
-The object builders (:meth:`~repro.population.builder.PopulationBuilder.build`,
+The builders (:meth:`~repro.population.builder.PopulationBuilder.build`,
 :meth:`~repro.fdvt.panel.PanelBuilder.build`) draw demographics and interest
-counts as whole-array operations, then loop users, deriving one
-``derive_generator(base_seed, key, index)`` per user for the interest
-assignment.  Because every user's stream is derived independently of the
-loop, the per-user work is embarrassingly parallel *and* partition-free:
-any contiguous shard of rows reproduces exactly the draws the object path
-makes for those rows.
+counts as whole-array operations, then assign interests per user, deriving
+one ``derive_generator(base_seed, key, index)`` per user.  Because every
+user's stream is derived from its row index alone, the per-user work is
+embarrassingly parallel *and* partition-free: any contiguous shard of rows
+reproduces exactly the draws of a whole-range pass.
 
 :class:`InterestShardTask` packages one such shard as a picklable unit of
 work for a :class:`~repro.exec.runner.ShardRunner` — the same machinery the
-collection paths use.  In-process runners carry the live
+collection engine uses.  In-process runners carry the live
 :class:`~repro.population.assignment.InterestAssigner`; across a process
 boundary the task carries an :class:`AssignerSpec` instead, and workers
 rebuild the assigner once per process through the shared
@@ -27,8 +26,7 @@ Stream contract
 ---------------
 
 Every row owns one ``derive_generator(base_seed, seed_key, row)`` stream,
-consumed in exactly this order — the invariant every execution path
-(object builders, scalar reference, batched kernel) must preserve:
+consumed in exactly this order:
 
 1. **age draw** — panel path only (``age_group_index`` present): one
    ``rng.integers`` draw via :func:`~repro.population.demographics.sample_age`
@@ -50,10 +48,10 @@ live generator, then hands the whole shard to the batched
 :meth:`InterestAssigner.assign_rows
 <repro.population.assignment.InterestAssigner.assign_rows>` kernel for
 stage 4 — the per-row streams never merge (each row's generator advances
-exactly as the reference), only the bookkeeping between draws is hoisted
-and vectorised.  :func:`run_interest_shard_reference` keeps the original
-per-user loop as the executable statement of the contract; the parity
-suite pins the two against each other bit-for-bit.
+exactly as one ``assign`` call per row would), only the bookkeeping between
+draws is hoisted and vectorised.  The per-user ``assign`` loop is kept as
+the parity suite's oracle (``tests/oracles.py``), which pins the two
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ from ..cache import (
     stable_fingerprint,
 )
 from .columnar import AGE_GROUP_TABLE, AGE_UNDISCLOSED
-from .demographics import AGE_GROUP_BOUNDS, AgeGroup, sample_age
+from .demographics import AGE_GROUP_BOUNDS, AgeGroup
 
 #: Bounded per-process memo of assigners rebuilt from specs (mirrors
 #: ``repro.exec.tasks``'s model memo): long-lived sweep/service workers
@@ -276,19 +274,15 @@ def run_interest_shard(
 
     ``flat_ids`` is the shard's CSR fragment (``int32``), ``row_counts``
     the per-row lengths, and ``ages`` the sampled ``int16`` ages (``None``
-    when the task carries no age groups).  Bit-identical to the object
-    builders: each per-user stream is consumed in exactly the documented
-    order (see the module docstring's stream contract) — stages 1–3 row by
+    when the task carries no age groups).  Bit-identical to one
+    :meth:`~repro.population.assignment.InterestAssigner.assign` call per
+    row: each per-user stream is consumed in exactly the documented order
+    (see the module docstring's stream contract) — stages 1–3 row by
     row, stage 4 through the batched
     :meth:`~repro.population.assignment.InterestAssigner.assign_rows`
-    kernel.  Assigner payloads without the batch API (test doubles) fall
-    back to the per-user reference loop.
+    kernel.
     """
     assigner = resolve_assigner(task.assigner)
-    if not hasattr(assigner, "assign_rows") or not hasattr(
-        assigner, "sample_preferred_topic_indices"
-    ):
-        return run_interest_shard_reference(task)
     streams, preferred, biases, ages = _shard_row_streams(assigner, task)
     flat, row_counts = assigner.assign_rows(
         task.counts,
@@ -298,46 +292,3 @@ def run_interest_shard(
     )
     return flat.astype(np.int32), row_counts, ages
 
-
-def run_interest_shard_reference(
-    task: InterestShardTask,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Per-user reference implementation of :func:`run_interest_shard`.
-
-    The executable statement of the stream contract: one
-    :meth:`~repro.population.assignment.InterestAssigner.assign` call per
-    row on the row's own generator.  The parity suite pins the batched
-    kernel against this loop bit-for-bit, and the benchmark's
-    assignment-rate stage uses it as the pre-kernel baseline.
-    """
-    assigner = resolve_assigner(task.assigner)
-    n_rows = task.stop - task.start
-    row_counts = np.empty(n_rows, dtype=np.int64)
-    ages: np.ndarray | None = None
-    if task.age_group_index is not None:
-        ages = np.full(n_rows, AGE_UNDISCLOSED, dtype=np.int16)
-    flat: list[int] = []
-    for offset in range(n_rows):
-        user_rng = derive_generator(task.base_seed, task.seed_key, task.start + offset)
-        if task.age_group_index is not None:
-            group = AGE_GROUP_TABLE[task.age_group_index[offset]]
-            age = sample_age(group, user_rng)
-            if age is not None:
-                ages[offset] = age  # type: ignore[index]
-        bias: float | None = None
-        if task.base_bias is not None:
-            bias = float(task.base_bias[offset])
-            if task.bias_jitter > 0:
-                bias += float(user_rng.normal(0.0, task.bias_jitter))
-                bias = float(np.clip(round(bias, 2), 0.1, 0.95))
-        preferred = assigner.sample_preferred_topics(task.topics_per_user, user_rng)
-        interests = assigner.assign(
-            int(task.counts[offset]),
-            user_rng,
-            preferred_topics=preferred,
-            popularity_bias=bias,
-        )
-        row_counts[offset] = len(interests)
-        flat.extend(interests)
-    flat_ids = np.array(flat, dtype=np.int32) if flat else np.zeros(0, dtype=np.int32)
-    return flat_ids, row_counts, ages

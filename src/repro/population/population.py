@@ -81,11 +81,6 @@ class Population:
             self._columns = PanelColumns.from_users(self._users)  # type: ignore[arg-type]
         return self._columns
 
-    @property
-    def has_columns(self) -> bool:
-        """True when the columnar store has been realised already."""
-        return self._columns is not None
-
     # -- container protocol ----------------------------------------------------
 
     def __len__(self) -> int:

@@ -366,29 +366,7 @@ class SweepRunner:
         if isinstance(resume, (str, Path)):
             resume = RunManifest.load(resume)
         retry, spec_faults, runner_faults = self._fault_split()
-
-        # Record the panel storage layout so a resumed run cannot silently
-        # mix columnar- and object-built rows (content is bit-identical,
-        # but a mixed run would invalidate performance accounting and any
-        # layout-sensitive debugging of the original manifest).
-        from ..pipeline import resolve_panel_layout
-
-        layout = resolve_panel_layout()
-        if resume is not None:
-            stored_layout = resume.notes.get("panel_layout")
-            if stored_layout is not None and stored_layout != layout:
-                raise ConfigurationError(
-                    f"cannot resume a {stored_layout!r}-layout sweep with panel "
-                    f"layout {layout!r}; rerun with the original layout or "
-                    "start a fresh sweep"
-                )
-
-        manifest = RunManifest(
-            notes={
-                "retry_clock": _retry_clock_note(retry),
-                "panel_layout": layout,
-            }
-        )
+        manifest = RunManifest(notes={"retry_clock": _retry_clock_note(retry)})
         fingerprints = {spec.name: spec.fingerprint() for spec in resolved}
         positions = {spec.name: index for index, spec in enumerate(resolved)}
         pending: list[ScenarioSpec] = []

@@ -7,10 +7,10 @@ Pins :meth:`InterestAssigner.assign_rows` — the kernel behind
   row by row for ragged and zero counts, clipped counts, preferred topics
   given as names or index arrays (including duplicates), default and
   per-row biases, and the multi-bias stacked-search path;
-* **shard parity** — :func:`run_interest_shard` matches
-  :func:`run_interest_shard_reference` for population- and panel-shaped
-  tasks (jittered biases, in-stream age draws) and is invariant to how a
-  row range is split into shards;
+* **shard parity** — :func:`run_interest_shard` matches the per-user
+  oracle ``oracles.run_interest_shard_reference`` for population- and
+  panel-shaped tasks (jittered biases, in-stream age draws) and is
+  invariant to how a row range is split into shards;
 * **validation** — the kernel raises the same
   :class:`~repro.errors.PopulationError`\\ s as the scalar path;
 * **bounded state** — the per-assigner derived-table caches and the
@@ -39,12 +39,13 @@ from repro.population import (
     clear_spec_memo,
     resolve_assigner,
     run_interest_shard,
-    run_interest_shard_reference,
 )
 from repro.population.assignment import (
     BIAS_TABLE_CACHE_SIZE,
     TOPIC_SELECTION_CACHE_SIZE,
 )
+
+from oracles import run_interest_shard_reference
 
 TOPICS_PER_USER = 3
 
@@ -254,32 +255,6 @@ class TestShardParity:
         np.testing.assert_array_equal(
             np.concatenate([p[2] for p in pieces]), whole[2]
         )
-
-    def test_assigners_without_the_batch_api_fall_back(self, assigner):
-        class Legacy:
-            """A duck-typed payload missing assign_rows (pre-kernel shape)."""
-
-            def sample_preferred_topics(self, n, seed):
-                return assigner.sample_preferred_topics(n, seed)
-
-            def assign(self, *args, **kwargs):
-                return assigner.assign(*args, **kwargs)
-
-        counts = RAGGED_COUNTS
-        legacy_task = InterestShardTask(
-            assigner=Legacy(),
-            base_seed=101,
-            seed_key="user",
-            start=0,
-            stop=counts.size,
-            counts=counts,
-            topics_per_user=TOPICS_PER_USER,
-        )
-        kernel_task = self._population_task(assigner, 0, counts.size, counts)
-        flat_l, lens_l, _ = run_interest_shard(legacy_task)
-        flat_k, lens_k, _ = run_interest_shard(kernel_task)
-        np.testing.assert_array_equal(flat_l, flat_k)
-        np.testing.assert_array_equal(lens_l, lens_k)
 
 
 class TestValidation:

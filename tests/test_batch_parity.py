@@ -1,8 +1,8 @@
 """Batch/scalar parity for the vectorised reach pipeline.
 
 The batched entry points (``prefix_audiences``, ``audience_for_batch``,
-``estimate_reach_batch``, ``fit_vas_many``, the batched collector) are
-required to return **bit-identical** results to their scalar counterparts —
+``estimate_reach_batch``, ``fit_vas_many``, the collector) are required to
+return **bit-identical** results to their scalar counterparts —
 they share the same kernels, including the counter-based jitter stream.
 These property-style tests pin that contract, plus the monotonicity
 invariants both paths must uphold.
@@ -27,6 +27,8 @@ from repro.core.quantiles import AudienceSamples
 from repro.errors import InsufficientDataError, ModelError
 from repro.reach import StatisticalReachModel, country_codes
 from repro.simclock import SimClock
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +196,10 @@ class TestCollectorParity:
         )
         kwargs = dict(max_interests=8, locations=country_codes())
         batched = AudienceSizeCollector(fresh_api(), simulation.panel, **kwargs)
-        scalar = AudienceSizeCollector(fresh_api(), simulation.panel, **kwargs)
         batched_samples = batched.collect(strategy)
-        scalar_samples = scalar.collect(strategy, batch=False)
+        scalar_samples = oracles.scalar_collect(
+            fresh_api(), simulation.panel, strategy, **kwargs
+        )
         assert np.array_equal(
             batched_samples.matrix, scalar_samples.matrix, equal_nan=True
         )

@@ -1,12 +1,12 @@
 """Columnar population/panel parity suite.
 
-Pins the contract of the columnar refactor: the CSR-backed
+Pins the contract of the columnar store: the CSR-backed
 :class:`~repro.population.columnar.PanelColumns` store, the sharded
-columnar builders (:meth:`PopulationBuilder.build_columns`,
-:meth:`PanelBuilder.build_columns`) and the array-native query/collection
-paths are *bit-identical* to the original object implementations — same
-users, same audience counts, same collection matrices, same ``CallStats``,
-same bootstrap cutpoints — for every execution backend and shard size.
+builders (:meth:`PopulationBuilder.build`, :meth:`PanelBuilder.build`) and
+the array-native query/collection paths are *bit-identical* to the
+per-user object oracles of ``tests/oracles.py`` — same users, same
+audience counts, same collection matrices, same ``CallStats``, same
+bootstrap cutpoints — for every execution backend and shard size.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import build_panel, build_simulation, resolve_panel_layout
+from repro import build_panel
 from repro.adsapi import AdsManagerAPI
 from repro.config import PanelConfig, PlatformConfig, PopulationConfig, UniquenessConfig
 from repro.core import (
@@ -26,7 +26,7 @@ from repro.core import (
     RandomSelection,
     bootstrap_cutpoints,
 )
-from repro.errors import ConfigurationError, PanelError, PopulationError
+from repro.errors import PanelError, PopulationError
 from repro.exec import ShardExecutor, drain
 from repro.fdvt import FDVTPanel, PanelBuilder
 from repro.population import (
@@ -43,6 +43,8 @@ from repro.population import (
 from repro.reach import country_codes
 from repro.scenarios import RunManifest, ScenarioSpec, SweepRunner
 from repro.simclock import SimClock
+
+import oracles
 
 
 def _users_for_columns() -> list[SyntheticUser]:
@@ -127,12 +129,12 @@ def population_builder(tiny_catalog) -> PopulationBuilder:
 
 @pytest.fixture(scope="module")
 def object_population(population_builder) -> Population:
-    return population_builder.build(seed=17)
+    return oracles.reference_population(population_builder, seed=17)
 
 
 @pytest.fixture(scope="module")
 def columnar_population(population_builder) -> Population:
-    return population_builder.build_columns(seed=17)
+    return population_builder.build(seed=17)
 
 
 class TestPopulationParity:
@@ -196,7 +198,7 @@ class TestPopulationParity:
             columnar_population.get(10**9)
 
     def test_columnar_queries_stay_lazy(self, population_builder):
-        population = population_builder.build_columns(seed=23)
+        population = population_builder.build(seed=23)
         probe = (1, 2, 3)
         population.matching_user_ids(probe)
         population.agent_count(probe, combine="or")
@@ -207,7 +209,7 @@ class TestPopulationParity:
         assert population._users is not None
 
     def test_backend_and_shard_size_invariance(self, population_builder):
-        reference = population_builder.build_columns(seed=31).columns
+        reference = population_builder.build(seed=31).columns
         for backend, workers, shard_size in (
             ("serial", 1, 7),
             ("thread", 3, 64),
@@ -216,9 +218,7 @@ class TestPopulationParity:
             executor = ShardExecutor(
                 backend=backend, workers=workers, shard_size=shard_size
             )
-            produced = population_builder.build_columns(
-                seed=31, executor=executor
-            ).columns
+            produced = population_builder.build(seed=31, executor=executor).columns
             assert produced.content_equals(reference)
 
 
@@ -243,12 +243,12 @@ def panel_builder(tiny_catalog) -> PanelBuilder:
 
 @pytest.fixture(scope="module")
 def object_panel(panel_builder) -> FDVTPanel:
-    return panel_builder.build(seed=13)
+    return oracles.reference_panel(panel_builder, seed=13)
 
 
 @pytest.fixture(scope="module")
 def columnar_panel(panel_builder) -> FDVTPanel:
-    return panel_builder.build_columns(seed=13)
+    return panel_builder.build(seed=13)
 
 
 class TestPanelParity:
@@ -286,7 +286,7 @@ class TestPanelParity:
             columnar_panel.by_country("XX")
 
     def test_get_matches_without_materialising(self, panel_builder):
-        panel = panel_builder.build_columns(seed=41)
+        panel = panel_builder.build(seed=41)
         user = panel.get(5)
         assert user.user_id == 5
         assert panel._users is None
@@ -299,8 +299,16 @@ class TestPanelParity:
             executor = ShardExecutor(
                 backend=backend, workers=workers, shard_size=shard_size
             )
-            produced = panel_builder.build_columns(seed=13, executor=executor)
+            produced = panel_builder.build(seed=13, executor=executor)
             assert produced.users == reference
+
+
+@pytest.mark.parametrize("builder_name", ["population_builder", "panel_builder"])
+def test_generator_seed_builds_like_the_integer_it_draws(request, builder_name):
+    builder = request.getfixturevalue(builder_name)
+    drawn = int(np.random.default_rng(3).integers(0, 2**62))
+    from_generator = builder.build(seed=np.random.default_rng(3)).columns
+    assert from_generator.content_equals(builder.build(seed=drawn).columns)
 
 
 def _stats_tuple(api: AdsManagerAPI):
@@ -316,7 +324,7 @@ def parity_reach_model(tiny_catalog):
 
 
 class TestCollectionParity:
-    """Collection matrices and CallStats across layouts, tiers and backends."""
+    """Collection matrices and CallStats against the oracles, across backends."""
 
     def _api(self, parity_reach_model) -> AdsManagerAPI:
         return AdsManagerAPI(
@@ -330,14 +338,12 @@ class TestCollectionParity:
         collector = AudienceSizeCollector(
             api, panel, max_interests=10, locations=country_codes()
         )
-        if "executor" in kwargs:
-            samples = collector.collect_sharded(strategy, executor=kwargs["executor"])
-        elif kwargs.get("stream"):
+        if kwargs.get("stream"):
             samples = drain(
                 collector.collect_stream(strategy), AudienceAccumulator()
             ).to_samples()
         else:
-            samples = collector.collect(strategy, mode=kwargs.get("mode", "panel"))
+            samples = collector.collect(strategy, executor=kwargs.get("executor"))
         return samples, _stats_tuple(api)
 
     @pytest.mark.parametrize("strategy_name", ["least_popular", "random"])
@@ -349,24 +355,57 @@ class TestCollectionParity:
             if strategy_name == "least_popular"
             else RandomSelection(seed=99)
         )
-        reference, reference_stats = self._collect(
-            parity_reach_model, object_panel, strategy
+        api = self._api(parity_reach_model)
+        reference = oracles.batched_collect(
+            api,
+            object_panel,
+            strategy,
+            max_interests=10,
+            locations=country_codes(),
         )
-        for kwargs in (
-            {},
-            {"mode": "batch"},
-            {"executor": ShardExecutor(shard_size=17)},
-            {"executor": ShardExecutor(backend="thread", workers=3, shard_size=31)},
-            {"stream": True},
+        reference_stats = _stats_tuple(api)
+        for panel, kwargs in (
+            (object_panel, {}),
+            (columnar_panel, {}),
+            (columnar_panel, {"executor": ShardExecutor(shard_size=17)}),
+            (
+                columnar_panel,
+                {"executor": ShardExecutor(backend="thread", workers=3, shard_size=31)},
+            ),
+            (columnar_panel, {"stream": True}),
         ):
             samples, stats = self._collect(
-                parity_reach_model, columnar_panel, strategy, **kwargs
+                parity_reach_model, panel, strategy, **kwargs
             )
             assert np.array_equal(samples.matrix, reference.matrix, equal_nan=True)
             assert samples.user_ids == reference.user_ids
             assert stats[0] == reference_stats[0]
             # Rate-limiter refill is clock-granular; tolerate float jitter.
             assert stats[1] == pytest.approx(reference_stats[1], abs=1e-3)
+
+    @pytest.mark.parametrize("strategy_name", ["least_popular", "random"])
+    def test_panel_from_user_dicts_collects_like_the_built_panel(
+        self, parity_reach_model, panel_builder, strategy_name
+    ):
+        strategy = (
+            LeastPopularSelection()
+            if strategy_name == "least_popular"
+            else RandomSelection(seed=99)
+        )
+        built = panel_builder.build(seed=13)
+        rebuilt = FDVTPanel.from_dicts(built.to_dicts(), built.catalog)
+        outcomes = []
+        for panel in (built, rebuilt):
+            api = self._api(parity_reach_model)
+            samples = AudienceSizeCollector(
+                api, panel, max_interests=10, locations=country_codes()
+            ).collect(strategy, executor=ShardExecutor(shard_size=17))
+            outcomes.append((samples, api.call_stats(), api.clock.now()))
+        (expected, expected_stats, expected_clock), (got, stats, clock) = outcomes
+        assert np.array_equal(got.matrix, expected.matrix, equal_nan=True)
+        assert got.user_ids == expected.user_ids
+        assert stats == expected_stats
+        assert clock == expected_clock
 
     def test_collect_for_users_matches(
         self, parity_reach_model, object_panel, columnar_panel
@@ -436,45 +475,28 @@ def test_process_backend_generation_matches(tiny_catalog):
     )
     assigner = InterestAssigner(tiny_catalog, spec=spec)
     builder = PopulationBuilder(tiny_catalog, config, assigner=assigner)
-    reference = builder.build_columns(seed=29).columns
+    reference = builder.build(seed=29).columns
     executor = ShardExecutor(backend="process", workers=2, shard_size=16)
-    produced = builder.build_columns(seed=29, executor=executor).columns
+    produced = builder.build(seed=29, executor=executor).columns
     assert produced.content_equals(reference)
 
 
 class TestPipelineLayout:
-    def test_resolve_layout_env_and_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PANEL_LAYOUT", raising=False)
-        assert resolve_panel_layout() == "columnar"
-        monkeypatch.setenv("REPRO_PANEL_LAYOUT", "objects")
-        assert resolve_panel_layout() == "objects"
-        assert resolve_panel_layout("columnar") == "columnar"
-        with pytest.raises(ConfigurationError, match="unknown panel layout"):
-            resolve_panel_layout("rowwise")
-
     def test_build_panel_layouts_bit_identical(self, simulation_factory):
+        # The pipeline's columnar panel against the oracle's object panel.
         simulation = simulation_factory()
         columnar = build_panel(
-            simulation.config, seed=None, catalog=simulation.catalog, layout="columnar"
+            simulation.config, seed=None, catalog=simulation.catalog
         )
-        objects = build_panel(
-            simulation.config, seed=None, catalog=simulation.catalog, layout="objects"
+        objects = oracles.reference_build_panel(
+            simulation.config, seed=None, catalog=simulation.catalog
         )
-        assert columnar.has_columns and not objects.has_columns
         assert columnar.users == objects.users
-
-    def test_build_simulation_threads_layout(self):
-        from repro.config import quick_config
-
-        config = quick_config(factor=120)
-        simulation = build_simulation(config, seed=3, panel_layout="columnar")
-        assert simulation.panel.has_columns
-        reference = build_simulation(config, seed=3, panel_layout="objects")
-        assert not reference.panel.has_columns
-        assert simulation.panel.users == reference.panel.users
 
 
 class TestSweepLayoutNote:
+    """Manifests carry no panel-layout note; old manifests that do resume."""
+
     def _grid(self):
         return [
             ScenarioSpec(
@@ -487,29 +509,28 @@ class TestSweepLayoutNote:
             )
         ]
 
-    def test_manifest_records_layout(self):
+    def test_manifest_carries_no_layout_note(self):
         report = SweepRunner().run_report(self._grid())
-        assert report.manifest.notes["panel_layout"] == "columnar"
+        assert "panel_layout" not in report.manifest.notes
 
-    def test_resume_rejects_layout_mismatch(self, monkeypatch):
+    @pytest.mark.parametrize("layout", ["columnar", "objects"])
+    def test_old_layout_notes_resume(self, layout):
         report = SweepRunner().run_report(self._grid())
-        monkeypatch.setenv("REPRO_PANEL_LAYOUT", "objects")
-        with pytest.raises(ConfigurationError, match="panel layout"):
-            SweepRunner().run_report(self._grid(), resume=report.manifest)
-
-    def test_resume_accepts_matching_layout(self):
-        report = SweepRunner().run_report(self._grid())
-        resumed = SweepRunner().run_report(self._grid(), resume=report.manifest)
-        assert resumed.manifest.notes["panel_layout"] == "columnar"
+        old = RunManifest(
+            report.manifest.completed(),
+            notes={**report.manifest.notes, "panel_layout": layout},
+        )
+        resumed = SweepRunner().run_report(self._grid(), resume=old)
         assert all(entry.resumed for entry in resumed.manifest.completed())
+        assert resumed.results == report.results
+        assert "panel_layout" not in resumed.manifest.notes
 
     def test_legacy_manifest_without_note_resumes(self):
         report = SweepRunner().run_report(self._grid())
-        notes = report.manifest.notes
-        notes.pop("panel_layout")
-        legacy = RunManifest(report.manifest.completed(), notes=notes)
+        legacy = RunManifest(report.manifest.completed(), notes=report.manifest.notes)
         resumed = SweepRunner().run_report(self._grid(), resume=legacy)
-        assert resumed.manifest.notes["panel_layout"] == "columnar"
+        assert all(entry.resumed for entry in resumed.manifest.completed())
+        assert resumed.results == report.results
 
 
 @pytest.mark.slow
@@ -538,10 +559,10 @@ def test_moderate_scale_columnar_end_to_end(tiny_catalog):
         max_interests_per_user=60,
         seed=19,
     )
-    panel = PanelBuilder(tiny_catalog, config).build_columns(
+    panel = PanelBuilder(tiny_catalog, config).build(
         seed=19, executor=ShardExecutor(backend="thread", workers=2, shard_size=512)
     )
-    assert panel.has_columns and len(panel) == n_users
+    assert panel._users is None and len(panel) == n_users
     api = AdsManagerAPI(
         StatisticalReachModel(tiny_catalog, ReachModelConfig()),
         platform=PlatformConfig.legacy_2017(),

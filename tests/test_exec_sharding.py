@@ -1,12 +1,13 @@
-"""Parity of the sharded, streaming execution layer with the fused panel tier.
+"""Parity of the sharded, streaming collection engine with one fused call.
 
 The contract pinned here: for every runner backend, worker count and shard
-size, ``collect_sharded`` and ``collect_stream`` return **bit-identical**
-audience samples *and* rate-limit accounting (``call_stats``, token-bucket
-level, simulated clock) to the fused ``collect(mode="panel")`` pass —
-including ragged panels and users without interests — and the streamed
-accumulator answers quantile and bootstrap queries bit-identically to the
-dense matrix without ever materialising it.
+size, ``collect`` and ``collect_stream`` return **bit-identical** audience
+samples *and* rate-limit accounting (``call_stats``, token-bucket level,
+simulated clock) to the fused oracle of ``tests/oracles.py`` — one
+whole-panel ``estimate_reach_matrix`` call — including ragged panels and
+users without interests, and the streamed accumulator answers quantile and
+bootstrap queries bit-identically to the dense matrix without ever
+materialising it.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from repro.countermeasures import (
 )
 from repro.core import NanotargetingExperiment
 from repro.delivery import DeliveryEngine
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import ConfigurationError, ModelError, ShardFailedError
 from repro.exec import (
     ExecutionPlan,
+    FaultPlan,
     ShardExecutor,
     drain,
     make_runner,
@@ -47,6 +49,7 @@ from repro.reach import country_codes
 from repro.simclock import SimClock
 
 from _builders import fresh_legacy_api
+import oracles
 
 
 def _accounting(api: AdsManagerAPI) -> tuple:
@@ -55,12 +58,15 @@ def _accounting(api: AdsManagerAPI) -> tuple:
 
 @pytest.fixture(scope="module")
 def reference(simulation):
-    """The fused panel-tier collection plus its end-state accounting."""
+    """The fused oracle collection plus its end-state accounting."""
     api = fresh_legacy_api(simulation)
-    collector = AudienceSizeCollector(
-        api, simulation.panel, max_interests=8, locations=country_codes()
+    samples = oracles.fused_collect(
+        api,
+        simulation.panel,
+        RandomSelection(seed=13),
+        max_interests=8,
+        locations=country_codes(),
     )
-    samples = collector.collect(RandomSelection(seed=13), mode="panel")
     return samples, _accounting(api)
 
 
@@ -153,7 +159,7 @@ class TestShardedCollectParity:
         collector = AudienceSizeCollector(
             api, simulation.panel, max_interests=8, locations=country_codes()
         )
-        samples = collector.collect_sharded(
+        samples = collector.collect(
             RandomSelection(seed=13),
             executor=ShardExecutor(backend=backend, workers=workers, shard_size=7),
         )
@@ -168,7 +174,7 @@ class TestShardedCollectParity:
         collector = AudienceSizeCollector(
             api, simulation.panel, max_interests=8, locations=country_codes()
         )
-        samples = collector.collect_sharded(
+        samples = collector.collect(
             RandomSelection(seed=13),
             executor=ShardExecutor(backend="process", workers=2, shard_size=24),
         )
@@ -193,8 +199,9 @@ class TestShardedCollectParity:
             collector = AudienceSizeCollector(
                 api, simulation.panel, max_interests=8, locations=country_codes()
             )
-            samples = collector.collect_sharded(
-                RandomSelection(seed=13), shard_size=shard_size
+            samples = collector.collect(
+                RandomSelection(seed=13),
+                executor=ShardExecutor(shard_size=shard_size),
             )
             assert np.array_equal(samples.matrix, ref_samples.matrix, equal_nan=True)
             assert _accounting(api) == ref_accounting
@@ -210,13 +217,17 @@ class TestShardedCollectParity:
         ]
         panel = FDVTPanel(users, catalog)
         fused_api = fresh_legacy_api(simulation)
-        fused = AudienceSizeCollector(
-            fused_api, panel, max_interests=10, locations=country_codes()
-        ).collect(LeastPopularSelection(), mode="panel")
+        fused = oracles.fused_collect(
+            fused_api,
+            panel,
+            LeastPopularSelection(),
+            max_interests=10,
+            locations=country_codes(),
+        )
         sharded_api = fresh_legacy_api(simulation)
         sharded = AudienceSizeCollector(
             sharded_api, panel, max_interests=10, locations=country_codes()
-        ).collect_sharded(LeastPopularSelection(), shard_size=1)
+        ).collect(LeastPopularSelection(), executor=ShardExecutor(shard_size=1))
         assert np.isnan(sharded.matrix[1]).all()
         assert np.array_equal(sharded.matrix, fused.matrix, equal_nan=True)
         assert _accounting(sharded_api) == _accounting(fused_api)
@@ -230,22 +241,12 @@ class TestShardedCollectParity:
         collector = AudienceSizeCollector(
             api, panel, max_interests=5, locations=country_codes()
         )
-        samples = collector.collect_sharded(LeastPopularSelection(), shard_size=2)
+        samples = collector.collect(
+            LeastPopularSelection(), executor=ShardExecutor(shard_size=2)
+        )
         assert np.isnan(samples.matrix).all()
         assert samples.matrix.shape == (3, 5)
         assert api.call_stats().reach_estimates == 0
-
-    def test_executor_and_loose_knobs_are_exclusive(self, simulation):
-        collector = AudienceSizeCollector(
-            fresh_legacy_api(simulation),
-            simulation.panel,
-            max_interests=3,
-            locations=country_codes(),
-        )
-        with pytest.raises(ModelError):
-            collector.collect_sharded(
-                LeastPopularSelection(), executor=ShardExecutor(), workers=2
-            )
 
 
 class TestCollectStream:
@@ -255,7 +256,11 @@ class TestCollectStream:
         collector = AudienceSizeCollector(
             api, simulation.panel, max_interests=8, locations=country_codes()
         )
-        blocks = list(collector.collect_stream(RandomSelection(seed=13), shard_size=5))
+        blocks = list(
+            collector.collect_stream(
+                RandomSelection(seed=13), executor=ShardExecutor(shard_size=5)
+            )
+        )
         assert len(blocks) > 1
         assert all(b.matrix.shape[1] == 8 for b in blocks)
         stacked = np.concatenate([b.matrix for b in blocks])
@@ -270,7 +275,9 @@ class TestCollectStream:
         collector = AudienceSizeCollector(
             api, simulation.panel, max_interests=4, locations=country_codes()
         )
-        stream = collector.collect_stream(LeastPopularSelection(), shard_size=5)
+        stream = collector.collect_stream(
+            LeastPopularSelection(), executor=ShardExecutor(shard_size=5)
+        )
         # Nothing is ordered, settled or billed until the first block is pulled.
         assert api.call_stats().reach_estimates == 0
         first = next(stream)
@@ -282,6 +289,49 @@ class TestCollectStream:
         )
         assert api.call_stats().reach_estimates == total
 
+    def test_failed_shard_accounting_collect_vs_stream(self, simulation):
+        # A kernel fault kills one shard mid-collection.  Both consumers
+        # settled the merged bill up front (tokens and clock already
+        # spent), but ``collect`` records its calls only after the last
+        # block — none — while a drained stream has recorded every shard
+        # it yielded before the failure.
+        doomed = FaultPlan(seed=3, error_rate=0.5, depth="kernel")
+        executor = ShardExecutor(shard_size=7, faults=doomed)
+        first_failure = next(
+            index for index in range(100) if doomed.decide(index, 0) is not None
+        )
+        assert first_failure > 0
+
+        def collector(api):
+            return AudienceSizeCollector(
+                api, simulation.panel, max_interests=8, locations=country_codes()
+            )
+
+        def settled(api):
+            return api.rate_limiter.available_tokens, api.clock.now()
+
+        strategy = RandomSelection(seed=13)
+        reference_api = fresh_legacy_api(simulation)
+        collector(reference_api).collect(strategy, executor=ShardExecutor(shard_size=7))
+
+        api = fresh_legacy_api(simulation)
+        with pytest.raises(ShardFailedError):
+            collector(api).collect(strategy, executor=executor)
+        assert api.call_stats().reach_estimates == 0
+        assert settled(api) == settled(reference_api)
+
+        stream_api = fresh_legacy_api(simulation)
+        yielded = []
+        with pytest.raises(ShardFailedError):
+            for block in collector(stream_api).collect_stream(
+                strategy, executor=executor
+            ):
+                yielded.append(block)
+        assert len(yielded) == first_failure
+        recorded = sum(np.count_nonzero(~np.isnan(b.matrix)) for b in yielded)
+        assert stream_api.call_stats().reach_estimates == recorded > 0
+        assert settled(stream_api) == settled(reference_api)
+
     def test_accumulator_matches_dense_samples(self, simulation, reference):
         ref_samples, _ = reference
         api = fresh_legacy_api(simulation)
@@ -289,7 +339,9 @@ class TestCollectStream:
             api, simulation.panel, max_interests=8, locations=country_codes()
         )
         streamed = drain(
-            collector.collect_stream(RandomSelection(seed=13), shard_size=6),
+            collector.collect_stream(
+                RandomSelection(seed=13), executor=ShardExecutor(shard_size=6)
+            ),
             AudienceAccumulator(),
         )
         assert streamed.n_users == ref_samples.n_users
@@ -316,7 +368,11 @@ class TestCollectStream:
             max_interests=8,
             locations=country_codes(),
         )
-        blocks = list(collector.collect_stream(RandomSelection(seed=13), shard_size=4))
+        blocks = list(
+            collector.collect_stream(
+                RandomSelection(seed=13), executor=ShardExecutor(shard_size=4)
+            )
+        )
         split = len(blocks) // 2
         left, right = AudienceAccumulator(), AudienceAccumulator()
         for block in blocks[:split]:
@@ -337,7 +393,9 @@ class TestCollectStream:
             locations=country_codes(),
         )
         streamed = drain(
-            collector.collect_stream(RandomSelection(seed=13), shard_size=9),
+            collector.collect_stream(
+                RandomSelection(seed=13), executor=ShardExecutor(shard_size=9)
+            ),
             AudienceAccumulator(),
         )
         qs = (50.0, 90.0)
@@ -401,12 +459,6 @@ class TestUniquenessModelTiers:
         refreshed = model.collect(strategy, refresh=True)
         assert refreshed is not fused
         assert model.collect(strategy, executor=ShardExecutor(shard_size=9)) is sharded
-
-    def test_mode_and_executor_are_exclusive(self, model):
-        with pytest.raises(ModelError):
-            model.collect(
-                RandomSelection(seed=13), mode="batch", executor=ShardExecutor()
-            )
 
     def test_cache_clear_drops_every_tier(self, model):
         model.collect(RandomSelection(seed=13))

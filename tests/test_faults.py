@@ -490,7 +490,7 @@ class TestCollectionChaosParity:
         reference = AudienceSizeCollector(
             reference_api, simulation.panel, max_interests=8,
             locations=country_codes(),
-        ).collect_sharded(
+        ).collect(
             RandomSelection(seed=13),
             executor=ShardExecutor(backend=backend, workers=workers, shard_size=7),
         )
@@ -498,7 +498,7 @@ class TestCollectionChaosParity:
         api = fresh_legacy_api(simulation)
         chaotic = AudienceSizeCollector(
             api, simulation.panel, max_interests=8, locations=country_codes()
-        ).collect_sharded(
+        ).collect(
             RandomSelection(seed=13),
             executor=ShardExecutor(
                 backend=backend,
@@ -609,13 +609,13 @@ class TestKernelChaosParity:
         self, simulation, backend, workers
     ):
         reference_api = fresh_legacy_api(simulation)
-        reference = self._collector(simulation, reference_api).collect_sharded(
+        reference = self._collector(simulation, reference_api).collect(
             RandomSelection(seed=13),
             executor=ShardExecutor(backend=backend, workers=workers, shard_size=7),
         )
 
         api = fresh_legacy_api(simulation)
-        chaotic = self._collector(simulation, api).collect_sharded(
+        chaotic = self._collector(simulation, api).collect(
             RandomSelection(seed=13),
             executor=ShardExecutor(
                 backend=backend,
@@ -669,7 +669,7 @@ class TestKernelChaosParity:
     def test_kernel_faults_without_retry_surface_shard_context(self, simulation):
         doomed = FaultPlan(seed=3, error_rate=1.0, depth="kernel")
         with pytest.raises(ShardFailedError) as excinfo:
-            self._collector(simulation, fresh_legacy_api(simulation)).collect_sharded(
+            self._collector(simulation, fresh_legacy_api(simulation)).collect(
                 RandomSelection(seed=13),
                 executor=ShardExecutor(shard_size=7, faults=doomed),
             )

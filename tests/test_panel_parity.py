@@ -1,12 +1,13 @@
-"""Parity of the panel-scale collection kernel with the per-user tiers.
+"""Parity of the panel-scale collection kernel with the per-user oracles.
 
-The panel tier (vectorised strategy ordering + ``prefix_audiences_panel`` +
-``estimate_reach_matrix``) must produce **bit-identical** matrices to the
-per-user batch tier and the scalar reference — including ragged panels
-(users with fewer interests than the matrix width), users without any
-interests, and demographic sub-panels.  These tests pin that contract, plus
-the dedup semantics of the batched FDVT risk reports that ride the same
-bulk endpoint.
+The collection engine (vectorised strategy ordering +
+``prefix_audiences_panel`` + one merged bill) must produce
+**bit-identical** matrices and call stats to the per-user batch and scalar
+oracles of ``tests/oracles.py`` — including ragged panels (users with fewer
+interests than the matrix width), users without any interests, and
+demographic sub-panels.  These tests pin that contract, plus the dedup
+semantics of the batched FDVT risk reports that ride the same bulk
+endpoint.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from repro.fdvt import FDVTExtension, FDVTPanel
 from repro.population import SyntheticUser
 from repro.reach import StatisticalReachModel, country_codes
 from repro.simclock import SimClock
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -259,19 +262,16 @@ class TestCollectorThreeTierParity:
             else RandomSelection(seed=strategy_seed)
         )
         kwargs = dict(max_interests=8, locations=country_codes())
-        samples = {}
-        stats = {}
-        for mode in ("panel", "batch", "scalar"):
-            api = fresh_api()
-            collector = AudienceSizeCollector(api, simulation.panel, **kwargs)
-            samples[mode] = collector.collect(strategy, mode=mode)
-            stats[mode] = api.call_stats()
-        for mode in ("batch", "scalar"):
-            assert np.array_equal(
-                samples["panel"].matrix, samples[mode].matrix, equal_nan=True
-            )
-            assert samples["panel"].user_ids == samples[mode].user_ids
-            assert stats["panel"] == stats[mode]
+        api = fresh_api()
+        samples = AudienceSizeCollector(api, simulation.panel, **kwargs).collect(
+            strategy
+        )
+        for oracle in (oracles.batched_collect, oracles.scalar_collect):
+            oracle_api = fresh_api()
+            expected = oracle(oracle_api, simulation.panel, strategy, **kwargs)
+            assert np.array_equal(samples.matrix, expected.matrix, equal_nan=True)
+            assert samples.user_ids == expected.user_ids
+            assert api.call_stats() == oracle_api.call_stats()
 
     def test_ragged_panel_with_empty_user(self, stack):
         simulation, fresh_api = stack
@@ -284,48 +284,32 @@ class TestCollectorThreeTierParity:
             SyntheticUser(user_id=4, country="AR", interest_ids=tuple(pool[28:29])),
         ]
         panel = FDVTPanel(users, catalog)
-        matrices = {}
-        for mode in ("panel", "batch", "scalar"):
-            collector = AudienceSizeCollector(
-                fresh_api(), panel, max_interests=10, locations=country_codes()
-            )
-            matrices[mode] = collector.collect(LeastPopularSelection(), mode=mode)
-        assert np.isnan(matrices["panel"].matrix[1]).all()
-        for mode in ("batch", "scalar"):
-            assert np.array_equal(
-                matrices["panel"].matrix, matrices[mode].matrix, equal_nan=True
-            )
+        kwargs = dict(max_interests=10, locations=country_codes())
+        samples = AudienceSizeCollector(fresh_api(), panel, **kwargs).collect(
+            LeastPopularSelection()
+        )
+        assert np.isnan(samples.matrix[1]).all()
+        for oracle in (oracles.batched_collect, oracles.scalar_collect):
+            expected = oracle(fresh_api(), panel, LeastPopularSelection(), **kwargs)
+            assert np.array_equal(samples.matrix, expected.matrix, equal_nan=True)
 
     def test_collect_for_users_subset_order_on_panel_tier(self, stack):
         simulation, fresh_api = stack
         collector = AudienceSizeCollector(
             fresh_api(), simulation.panel, max_interests=4, locations=country_codes()
         )
-        wanted = [user.user_id for user in list(simulation.panel)[:6]]
-        reversed_ids = list(reversed(wanted))
-        panel_samples = collector.collect_for_users(
-            LeastPopularSelection(), reversed_ids
+        wanted = list(simulation.panel)[:6]
+        reversed_ids = [user.user_id for user in reversed(wanted)]
+        samples = collector.collect_for_users(LeastPopularSelection(), reversed_ids)
+        expected = oracles.scalar_collect(
+            fresh_api(),
+            simulation.panel.subset(list(reversed(wanted))),
+            LeastPopularSelection(),
+            max_interests=4,
+            locations=country_codes(),
         )
-        scalar_samples = collector.collect_for_users(
-            LeastPopularSelection(), reversed_ids, mode="scalar"
-        )
-        assert list(panel_samples.user_ids) == reversed_ids
-        assert np.array_equal(
-            panel_samples.matrix, scalar_samples.matrix, equal_nan=True
-        )
-
-    def test_legacy_batch_flag_still_selects_tiers(self, stack):
-        simulation, fresh_api = stack
-        collector = AudienceSizeCollector(
-            fresh_api(), simulation.panel, max_interests=3, locations=country_codes()
-        )
-        legacy = collector.collect(LeastPopularSelection(), batch=True)
-        modern = collector.collect(LeastPopularSelection(), mode="batch")
-        assert np.array_equal(legacy.matrix, modern.matrix, equal_nan=True)
-        with pytest.raises(ModelError):
-            collector.collect(LeastPopularSelection(), mode="panel", batch=True)
-        with pytest.raises(ModelError):
-            collector.collect(LeastPopularSelection(), mode="warp")
+        assert list(samples.user_ids) == reversed_ids
+        assert np.array_equal(samples.matrix, expected.matrix, equal_nan=True)
 
 
 class TestOrderedInterestMatrix:
