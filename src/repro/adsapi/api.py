@@ -38,6 +38,7 @@ from .reachestimate import (
     apply_reporting_floor,
     apply_reporting_floor_batch,
     floored_prefix_audiences,
+    pad_id_rows,
 )
 from .targeting import TargetingSpec
 from .validation import validate_spec
@@ -179,21 +180,22 @@ class AdsManagerAPI:
         """Potential Reach for many targeting specs in one call.
 
         Returns exactly what looping :meth:`estimate_reach` over ``specs``
-        would return, but routes the audience computation through the
-        backend's batched kernel.  Every spec is validated and consumes one
-        rate-limit token, so on success ``call_stats`` and any
-        countermeasure accounting see the same traffic as the scalar loop.
-        Failure semantics are all-or-nothing, unlike the scalar loop:
-        validation happens up front (an invalid spec fails the batch before
-        any token is spent), and if the batch aborts midway — e.g. a
-        rate-limit error with ``auto_wait=False``, or a backend error in a
-        later group — no estimates are returned or counted, although
-        tokens already consumed stay spent (as with any aborted burst).
+        would return.  Every spec is validated and consumes one rate-limit
+        token, so on success ``call_stats`` and any countermeasure
+        accounting see the same traffic as the scalar loop.  Failure
+        semantics are all-or-nothing, unlike the scalar loop: validation
+        happens up front (an invalid spec fails the batch before any token
+        is spent), and if the batch aborts midway — e.g. a rate-limit
+        error with ``auto_wait=False``, or a backend error in a later
+        group — no estimates are returned or counted, although tokens
+        already consumed stay spent (as with any aborted burst).
 
-        Specs are grouped by ``(locations, combine)``; within a group,
-        consecutive AND-specs that extend each other by one interest (the
-        prefix families issued by the audience-size collector) are resolved
-        by a single O(N) prefix-kernel call.
+        AND specs are grouped by location list, and each group costs one
+        backend ``prefix_audiences_panel`` call.  A spec that extends the
+        previous spec of its group by one interest shares that spec's
+        kernel row, so a prefix chain (``TargetingSpec.prefix_chain``)
+        costs a single row.  OR specs, Custom Audience specs and specs
+        without interests are resolved one by one.
         """
         specs = list(specs)
         if not specs:
@@ -204,24 +206,25 @@ class AdsManagerAPI:
         for _ in specs:
             self._throttle()
         raw = np.empty(len(specs), dtype=float)
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[tuple[str, ...] | None, list[int]] = {}
         for index, spec in enumerate(specs):
-            if spec.uses_custom_audience:
+            if spec.uses_custom_audience or spec.interest_combine != "and" or not spec.interests:
                 raw[index] = self._raw_audience(spec)
             else:
-                key = (spec.effective_locations(), spec.interest_combine)
-                groups.setdefault(key, []).append(index)
-        for (locations, combine), indices in groups.items():
-            combinations = [specs[i].interests for i in indices]
-            batch = getattr(self._backend, "audience_for_batch", None)
-            if batch is not None:
-                values = batch(combinations, locations, combine=combine)
-            else:
-                values = [
-                    self._backend.audience_for(c, locations, combine=combine)
-                    for c in combinations
-                ]
-            raw[indices] = values
+                groups.setdefault(spec.effective_locations(), []).append(index)
+        for locations, indices in groups.items():
+            rows: list[tuple[int, ...]] = []
+            cells = np.empty((2, len(indices)), dtype=np.int64)
+            for position, index in enumerate(indices):
+                interests = specs[index].interests
+                if rows and interests[:-1] == rows[-1]:
+                    rows[-1] = interests
+                else:
+                    rows.append(interests)
+                cells[:, position] = (len(rows) - 1, len(interests) - 1)
+            ids, counts = pad_id_rows(rows)
+            values = self._backend.prefix_audiences_panel(ids, counts, locations)
+            raw[indices] = values[cells[0], cells[1]]
         self._counters.reach_estimates += len(specs)
         return apply_reporting_floor_batch(raw, self._platform.reach_floor)
 

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from ..config import PlatformConfig
 from ..errors import CustomAudienceError
-from ..population import Population
 
 
 def hash_pii(record: str, *, salt: str = "repro-custom-audience") -> str:
@@ -93,24 +92,6 @@ class CustomAudienceManager:
         )
         self._audiences[identifier] = audience
         return audience
-
-    def create_from_population(
-        self,
-        pii_records: Sequence[str],
-        population: Population,
-        user_ids: Sequence[int],
-        *,
-        inactive_user_ids: Sequence[int] = (),
-        audience_id: str | None = None,
-    ) -> CustomAudience:
-        """Create a Custom Audience whose matches live in ``population``."""
-        for uid in user_ids:
-            if uid not in population:
-                raise CustomAudienceError(f"user {uid} is not part of the population")
-        active = tuple(uid for uid in user_ids if uid not in set(inactive_user_ids))
-        return self.create(
-            pii_records, user_ids, active_user_ids=active, audience_id=audience_id
-        )
 
     def get(self, audience_id: str) -> CustomAudience:
         """Return a stored Custom Audience."""

@@ -100,8 +100,23 @@ def apply_reporting_floor_matrix(raw_matrix: np.ndarray, floor: int) -> np.ndarr
     return reported
 
 
+def pad_id_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pack ragged ordered id rows into the padded bulk-kernel layout.
+
+    Returns ``(id_matrix, counts)`` in the convention every bulk kernel
+    consumes: row ``u`` holds ``rows[u]`` followed by ``-1`` padding, and
+    the width is ``max(counts)``.
+    """
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    width = int(counts.max()) if counts.size else 0
+    id_matrix = np.full((len(rows), width), -1, dtype=np.int64)
+    for index, row in enumerate(rows):
+        id_matrix[index, : len(row)] = row
+    return id_matrix, counts
+
+
 def floored_prefix_audiences(
-    backend: object,
+    backend: ReachBackend,
     id_matrix: np.ndarray,
     counts: np.ndarray,
     locations: Sequence[str] | None,
@@ -109,17 +124,11 @@ def floored_prefix_audiences(
 ) -> np.ndarray:
     """The bulk endpoint's pure compute stage: prefix kernel, then floor.
 
-    Runs the backend's ``prefix_audiences_panel`` (or the
-    :class:`~repro.reach.backend.ReachBackend` per-row default for backends
-    without one) and clips the result with
-    :func:`apply_reporting_floor_matrix`; ``floor=None`` returns the raw
-    audiences.  No validation and no accounting happen here.
+    Runs the backend's ``prefix_audiences_panel`` and clips the result
+    with :func:`apply_reporting_floor_matrix`; ``floor=None`` returns the
+    raw audiences.  No validation and no accounting happen here.
     """
-    kernel = getattr(backend, "prefix_audiences_panel", None)
-    if kernel is not None:
-        raw = kernel(id_matrix, counts, locations)
-    else:
-        raw = ReachBackend.prefix_audiences_panel(backend, id_matrix, counts, locations)
+    raw = backend.prefix_audiences_panel(id_matrix, counts, locations)
     if floor is None:
         return raw
     return apply_reporting_floor_matrix(raw, floor)

@@ -69,7 +69,7 @@ from .io import (
 from ._rng import derive_seed
 from .adsapi import AdsManagerAPI
 from .config import PlatformConfig
-from .errors import ConfigurationError, ReproError, ServiceError
+from .errors import ConfigurationError, PanelError, ReproError, ServiceError
 from .faults import FaultPlan, RetryPolicy, WallClockRetryPolicy
 from .pipeline import (
     Simulation,
@@ -200,10 +200,12 @@ def cmd_fdvt_report(args: argparse.Namespace) -> int:
     if args.user_id is not None:
         user = simulation.panel.get(args.user_id)
     else:
-        user = next(
-            u for u in sorted(simulation.panel.users, key=lambda u: u.interest_count)
-            if u.interest_count >= args.min_interests
-        )
+        eligible = [
+            u for u in simulation.panel.users if u.interest_count >= args.min_interests
+        ]
+        if not eligible:
+            raise PanelError(f"no panellist holds at least {args.min_interests} interests")
+        user = min(eligible, key=lambda u: u.interest_count)
     report = extension.build_risk_report(user)
     rows = [
         [entry.name[:48], entry.risk.value, entry.audience_size]

@@ -287,7 +287,6 @@ class ReproductionConfig(FingerprintedConfig):
 
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
     reach: ReachModelConfig = field(default_factory=ReachModelConfig)
-    platform: PlatformConfig = field(default_factory=PlatformConfig)
     panel: PanelConfig = field(default_factory=PanelConfig)
     population: PopulationConfig = field(default_factory=PopulationConfig)
     uniqueness: UniquenessConfig = field(default_factory=UniquenessConfig)

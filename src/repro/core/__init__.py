@@ -25,7 +25,6 @@ from .selection import (
     SelectionStrategy,
     nested_subsets,
     ordered_interest_matrix,
-    pad_id_rows,
 )
 from .uniqueness import UniquenessModel
 
@@ -60,7 +59,6 @@ __all__ = [
     "masked_column_quantiles",
     "nested_subsets",
     "ordered_interest_matrix",
-    "pad_id_rows",
     "percentile_interval",
     "probability_to_percentile",
     "truncate_at_floor",

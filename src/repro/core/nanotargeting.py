@@ -23,6 +23,7 @@ import numpy as np
 
 from .._rng import SeedLike, as_generator, derive_generator
 from ..adsapi import AdsManagerAPI, TargetingSpec
+from ..adsapi.reachestimate import pad_id_rows
 from ..config import ExperimentConfig
 from ..delivery import (
     AdCreative,
@@ -216,42 +217,20 @@ class NanotargetingExperiment:
         rng.shuffle(interests)
         return nested_subsets(interests[:max_count], self._config.interest_counts)
 
-    def plan_audiences(
-        self, interest_sets: dict[int, tuple[int, ...]]
-    ) -> dict[int, float]:
-        """Raw audience of every planned campaign from one batched query.
-
-        All campaign interest sets of a target are prefixes of the largest
-        one (:meth:`plan_interest_sets` builds nested subsets), so a single
-        :meth:`~repro.reach.ReachBackend.prefix_audiences` kernel call
-        resolves every size — bit-identical to querying the backend once per
-        campaign, without the per-campaign Python round-trip.
-        """
-        if not interest_sets:
-            return {}
-        sizes = sorted(interest_sets)
-        longest = interest_sets[sizes[-1]]
-        for size in sizes:
-            if interest_sets[size] != longest[:size]:
-                raise ModelError(
-                    "interest sets must be nested prefixes of the largest set"
-                )
-        # Campaigns are worldwide (the experiment ran with the 2020
-        # platform), matching TargetingSpec.for_interests' default.
-        prefix = self._api.backend.prefix_audiences(longest, None)
-        return {size: float(prefix[size - 1]) for size in sizes}
-
     def plan_audiences_panel(
         self, interest_sets_per_target: Sequence[dict[int, tuple[int, ...]]]
     ) -> list[dict[int, float]]:
         """Raw audiences for *every* target's campaigns in one matrix sweep.
 
-        Stacks each target's largest nested set into one padded id matrix
-        and resolves all campaign audiences with a single row-parallel
-        prefix kernel call — the bulk kernel behind
+        All campaign interest sets of a target are prefixes of its largest
+        one (:meth:`plan_interest_sets` builds nested subsets), so stacking
+        each target's largest set into one padded id matrix resolves every
+        campaign audience with a single backend ``prefix_audiences_panel``
+        call — the kernel behind
         :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix`, without
-        the reporting floor since delivery consumes raw audiences.  Row
-        ``t`` is bit-identical to :meth:`plan_audiences` for target ``t``.
+        the reporting floor since delivery consumes raw audiences.  Entry
+        ``[t][size]`` is bit-identical to ``backend.audience_for`` on
+        target ``t``'s ``size``-interest set.
         """
         plans = [dict(sets) for sets in interest_sets_per_target]
         if not plans:
@@ -269,8 +248,6 @@ class NanotargetingExperiment:
                         "interest sets must be nested prefixes of the largest set"
                     )
             longest_rows.append(longest)
-        from .selection import pad_id_rows
-
         ids, counts = pad_id_rows(longest_rows)
         if ids.shape[1] == 0:
             return [{} for _ in plans]
@@ -342,12 +319,12 @@ class NanotargetingExperiment:
         campaign: Campaign,
         target: SyntheticUser,
         label: str,
-        audience: float | None = None,
+        audience: float,
     ) -> CampaignRecord:
         try:
-            # The planned audience (when present) came off the bulk prefix
-            # kernel and is bit-identical to the scalar lookup authorize
-            # would otherwise issue.
+            # The planned audience came off the bulk prefix kernel and is
+            # bit-identical to the scalar lookup authorize would otherwise
+            # issue.
             self._api.authorize_campaign(campaign.spec, raw_audience=audience)
         except CampaignRejectedError as exc:
             return CampaignRecord(
@@ -359,12 +336,6 @@ class NanotargetingExperiment:
                 validation=SuccessValidation(False, False, False),
                 rejected=True,
                 rejection_reason=str(exc),
-            )
-        if audience is None:
-            audience = self._api.backend.audience_for(
-                campaign.spec.interests,
-                campaign.spec.effective_locations(),
-                combine=campaign.spec.interest_combine,
             )
         outcome = self._engine.run(
             campaign.with_status(CampaignStatus.ACTIVE),

@@ -35,6 +35,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .._rng import SeedLike, as_generator, derive_generator, stable_hash
+from ..adsapi.reachestimate import pad_id_rows
 from ..catalog import InterestCatalog
 from ..errors import ModelError
 from ..population.columnar import PanelColumns
@@ -206,25 +207,6 @@ def _pack_ordered_rows(
     return matrix, counts
 
 
-def pad_id_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack ragged ordered id rows into the padded bulk-kernel layout.
-
-    Returns ``(id_matrix, counts)`` in the convention every bulk kernel
-    consumes (``-1`` padding, ``width = max(counts)``; see
-    :func:`ordered_interest_matrix_columns`).  This is the entry point for callers
-    whose rows are already ordered — the countermeasure workload evaluation
-    and the nanotargeting planner — so the padding convention lives in one
-    place.
-    """
-    counts = np.array([len(row) for row in rows], dtype=np.int64)
-    flat = np.fromiter(
-        (int(i) for row in rows for i in row),
-        dtype=np.int64,
-        count=int(counts.sum()),
-    )
-    return _pack_ordered_rows(flat, counts, counts)
-
-
 def ordered_interest_matrix(
     strategy: SelectionStrategy,
     users: Sequence[SyntheticUser],
@@ -266,17 +248,12 @@ def ordered_interest_matrix_columns(
     column_order = getattr(strategy, "order_interests_matrix_columns", None)
     if column_order is not None:
         return column_order(columns, catalog, max_interests, start, stop)
-    ordered_rows = [
-        strategy.order_interests(columns.user_at(row), catalog, max_interests)
-        for row in range(start, stop)
-    ]
-    counts = np.array([len(row) for row in ordered_rows], dtype=np.int64)
-    flat_sorted = np.fromiter(
-        (i for row in ordered_rows for i in row),
-        dtype=np.int64,
-        count=int(counts.sum()),
+    return pad_id_rows(
+        [
+            strategy.order_interests(columns.user_at(row), catalog, max_interests)
+            for row in range(start, stop)
+        ]
     )
-    return _pack_ordered_rows(flat_sorted, counts, counts)
 
 
 def nested_subsets(

@@ -26,9 +26,9 @@ import numpy as np
 
 from ..adsapi import AdsManagerAPI, PlatformPolicy
 from ..adsapi.policy import CampaignRule
+from ..adsapi.reachestimate import pad_id_rows
 from ..adsapi.targeting import TargetingSpec
 from ..core.nanotargeting import ExperimentReport, NanotargetingExperiment
-from ..core.selection import pad_id_rows
 from ..delivery import DeliveryEngine
 from ..errors import ModelError
 from ..exec import ShardExecutor

@@ -12,7 +12,10 @@ The extension has three responsibilities in the paper:
    with one-click removal.
 
 Audience sizes are retrieved per interest from the (simulated) Ads Manager
-API, exactly like the real extension queries the real API.
+API, exactly like the real extension queries the real API: one
+``estimate_reach`` call per interest for a single user's report, and one
+deduplicated bulk query, run as row shards on a
+:class:`~repro.exec.ShardExecutor`, for a batch of reports.
 """
 
 from __future__ import annotations
@@ -137,19 +140,17 @@ class FDVTExtension:
         """Risk reports for many users from one batched audience query.
 
         The interests of all users are deduplicated and their single-interest
-        Potential Reach values fetched with one bulk
-        :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix` call — one
-        API request per *unique* interest instead of one per (user, interest)
-        occurrence.  With an ``executor`` the deduplicated query rows fan
-        out over an :class:`~repro.exec.ExecutionPlan` instead: per-shard
-        reach blocks run on the runner backend and are merged back in shard
-        order, while the merged rate-limit bill is settled once — the same
-        validate → settle → compute → record decomposition sharded
-        collection uses, so reaches *and* accounting are bit-identical to
-        the fused call for every backend and worker count.  Each returned
-        report is identical to what :meth:`build_risk_report` would build
-        for that user; a user without interests raises :class:`PanelError`
-        exactly like the scalar path.
+        Potential Reach values fetched as one bulk query — one API request
+        per *unique* interest instead of one per (user, interest)
+        occurrence.  The query rows run as shards of an
+        :class:`~repro.exec.ExecutionPlan` on ``executor`` (a serial
+        :class:`~repro.exec.ShardExecutor` by default), with one merged
+        bill, so reaches *and* accounting equal one
+        :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix` call for
+        every backend and worker count.  Each returned report is identical
+        to what :meth:`build_risk_report` would build for that user; a user
+        without interests raises :class:`PanelError` exactly like the
+        scalar path.
         """
         for user in users:
             if not user.interest_ids:
@@ -159,12 +160,9 @@ class FDVTExtension:
             return ()
         id_matrix = np.asarray(unique_ids, dtype=np.int64)[:, None]
         counts = np.ones(len(unique_ids), dtype=np.int64)
-        if executor is None:
-            reaches = self._api.estimate_reach_matrix(
-                id_matrix, counts, locations=self.query_locations()
-            )
-        else:
-            reaches = self._sharded_reach_matrix(id_matrix, counts, executor)
+        reaches = self._sharded_reach_matrix(
+            id_matrix, counts, executor or ShardExecutor()
+        )
         audience_by_id = {
             interest_id: int(reach)
             for interest_id, reach in zip(unique_ids, reaches[:, 0])
@@ -187,10 +185,10 @@ class FDVTExtension:
     ) -> np.ndarray:
         """The bulk reach query of :meth:`build_risk_reports`, sharded.
 
-        Validates once, settles the merged bill once, fans the pure kernel
-        blocks out to the executor's runner and records the bill afterwards
-        — the exact step order of ``estimate_reach_matrix``, so sharded
-        accounting matches the fused call bit-for-bit.
+        Validates once, settles the merged bill once, runs the pure kernel
+        blocks on the executor's runner and records the bill afterwards —
+        the step order of ``estimate_reach_matrix``, so the accounting
+        matches one bulk call bit-for-bit.
         """
         ids, counts, locations = self._api.validate_reach_matrix(
             id_matrix, counts, locations=self.query_locations()

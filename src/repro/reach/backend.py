@@ -12,11 +12,11 @@ audience sizes itself; it delegates to any object implementing
   validating the analytic model's semantics.
 
 Besides the scalar :meth:`~ReachBackend.audience_for`, the protocol carries
-two batched entry points with loop-based default implementations, so any
-backend is automatically batch-capable.  Backends with a vectorised kernel
-(the statistical model) override them; callers get bit-identical results
-either way, which is what lets the Ads API expose a single batched estimate
-endpoint over heterogeneous backends.
+one bulk entry point, :meth:`~ReachBackend.prefix_audiences_panel` — the
+AND audiences of every prefix of every row of a padded id matrix — with a
+default that loops the scalar method, so any backend serves the Ads API's
+bulk and batch endpoints.  The statistical model overrides it with its
+vectorised kernel; callers get bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -58,66 +58,25 @@ class ReachBackend(Protocol):
         """Return the total user base for ``locations``."""
         ...  # pragma: no cover - protocol definition
 
-    def audience_for_batch(
-        self,
-        combinations: Sequence[Sequence[int]],
-        locations: Sequence[str] | None = None,
-        *,
-        combine: str = "and",
-    ) -> np.ndarray:
-        """Audience sizes for many combinations at once.
-
-        Must return exactly ``[audience_for(c, ...) for c in combinations]``;
-        this default delegates to the scalar method, vectorised backends
-        override it with a faster kernel.
-        """
-        return np.asarray(
-            [
-                self.audience_for(combination, locations, combine=combine)
-                for combination in combinations
-            ],
-            dtype=float,
-        )
-
-    def prefix_audiences(
-        self,
-        ordered_ids: Sequence[int],
-        locations: Sequence[str] | None = None,
-    ) -> np.ndarray:
-        """AND-audiences of every prefix ``1..N`` of an ordered id list.
-
-        Must return exactly ``[audience_for(ordered_ids[:k], ...) for k in
-        1..N]``; vectorised backends override it with an incremental kernel.
-        """
-        ids = tuple(int(i) for i in ordered_ids)
-        return np.asarray(
-            [
-                self.audience_for(ids[: count + 1], locations)
-                for count in range(len(ids))
-            ],
-            dtype=float,
-        )
-
     def prefix_audiences_panel(
         self,
         id_matrix: np.ndarray,
         counts: Sequence[int] | np.ndarray,
         locations: Sequence[str] | None = None,
     ) -> np.ndarray:
-        """Prefix audiences for a padded panel of ordered id rows.
+        """AND audiences of every prefix of every row of a padded id matrix.
 
-        Row ``u`` of the result must equal
-        ``prefix_audiences(id_matrix[u, :counts[u]], locations)`` bit-for-bit
-        (``NaN`` beyond ``counts[u]``).  This default loops the per-row
-        kernel; vectorised backends override it with a whole-panel sweep.
+        Cell ``(u, k)`` of the result must equal
+        ``audience_for(id_matrix[u, :k + 1], locations)`` bit-for-bit for
+        ``k < counts[u]`` and be ``NaN`` elsewhere.  This default loops the
+        scalar method; vectorised backends override it with a whole-panel
+        sweep.
         """
         ids = np.asarray(id_matrix, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         result = np.full(ids.shape, np.nan, dtype=float)
         for row in range(ids.shape[0]):
-            count = int(counts[row])
-            if count:
-                result[row, :count] = self.prefix_audiences(
-                    ids[row, :count], locations
-                )
+            prefix = tuple(int(i) for i in ids[row, : counts[row]])
+            for k in range(len(prefix)):
+                result[row, k] = self.audience_for(prefix[: k + 1], locations)
         return result

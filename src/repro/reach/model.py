@@ -26,40 +26,32 @@ The single parameter ``alpha`` reproduces both regimes of the paper: the
 least-popular selection becomes unique after ~4 interests and the random
 selection after ~22 (Table 1).
 
-Batch kernel design
--------------------
-The paper-scale measurement queries, for every panel user, all ``1..N``
-prefixes of one ordered interest list — the hot path of the whole pipeline.
-Evaluating each prefix independently costs O(N) marginal lookups, one sort
-and one fresh jitter Generator per prefix, i.e. O(N^2) work per user.  The
-batched kernel (:meth:`StatisticalReachModel.prefix_audiences`) instead:
+The prefix kernel
+-----------------
+Every AND audience the model reports comes from one kernel,
+:meth:`StatisticalReachModel.prefix_audiences_panel`.  The paper's
+measurement reads, for every panel user, the audiences of all ``1..N``
+prefixes of one ordered interest list; the kernel takes a padded
+``(n_users, width)`` matrix of such lists and computes every prefix of
+every row in one pass:
 
-* caches the catalog marginals and topic codes as id-indexed numpy arrays
-  (built once, looked up with a single ``searchsorted`` per query);
-* tracks the rarest-so-far interest with ``minimum.accumulate`` and turns
-  the conditional-retention product into cumulative log-sums, so all ``N``
-  prefix intersection probabilities come out of one O(N log N) pass;
-* draws the jitter from the counter-based construction in
-  :mod:`repro.reach.jitter` — one cumulative sum of per-id hashes instead
-  of ``N`` Generator constructions.
+* the catalog marginals and topic codes are id-indexed numpy arrays
+  (built once, looked up with a single ``searchsorted`` per call);
+* the rarest-so-far interest comes from ``minimum.accumulate`` and the
+  conditional-retention product from cumulative log-sums, both along the
+  row axis, plus a ≤ 25-step column sweep for the per-topic boosts;
+* the jitter comes from the counter-based construction in
+  :mod:`repro.reach.jitter` — one cumulative sum of per-id hashes per row
+  instead of one Generator per prefix.
 
-Every prefix value depends only on the ids before it, so the scalar entry
-points (:meth:`audience_for`, :meth:`intersection_probability`) route
-through the same kernel and return bit-identical values to the batched
-path.  Repeated queries with the same id order are exactly identical;
-querying a *permutation* of the same set agrees to floating-point rounding
-(the cumulative log-sums accumulate in query order, so the last few ULPs
-can differ — only the jitter factor is exactly order-independent).  :meth:`audience_for_batch` additionally decomposes an arbitrary
-combination list into maximal prefix chains so that batched Ads-API queries
-over prefix families hit the O(N) kernel once per chain.
-
-At panel scale, :meth:`StatisticalReachModel.prefix_audiences_panel` lifts
-the whole kernel one level further: it takes a padded ``(n_users, width)``
-matrix of ordered id rows and computes every user's 1..N prefix audiences
-in one chunked cumulative sweep (axis-wise cumulative minima/log-sums plus
-a ≤ 25-step column sweep for the per-topic boost corrections), sharing the
-marginal arrays and the SplitMix64 jitter stream so each row is
-bit-identical to the per-user and scalar paths.
+Every stage is prefix-local: a cell depends only on the ids before it in
+its row.  That is what lets the scalar :meth:`~StatisticalReachModel.audience_for`
+read the last cell of a one-row call, and what the parity suite pins
+bit-for-bit against the per-list reference kernel in ``tests/oracles.py``.
+Repeated queries with the same id order are exactly identical; querying a
+*permutation* of the same set agrees to floating-point rounding (the
+log-sums accumulate in query order; only the jitter factor is exactly
+order-independent).
 """
 
 from __future__ import annotations
@@ -83,7 +75,7 @@ from .jitter import (
     prefix_seeds,
 )
 
-#: Bound on the per-instance memoisation caches for scalar lookups.
+#: Bound on the per-instance memo of OR-query jitter factors.
 _SCALAR_CACHE_SIZE = 4096
 
 
@@ -192,9 +184,7 @@ class StatisticalReachModel(ReachBackend):
         self._marginal_array: np.ndarray | None = None
         self._topic_codes: np.ndarray | None = None
         self._n_topic_codes: int = 0
-        # Bounded memo caches for repeated scalar queries (nanotargeting
-        # planner, countermeasure evaluation, FDVT risk reports).
-        self._marginal_cache: dict[int, float] = {}
+        # Bounded memo of OR-query jitter factors.
         self._jitter_cache: dict[tuple[int, ...], float] = {}
 
     # -- properties ---------------------------------------------------------
@@ -229,15 +219,8 @@ class StatisticalReachModel(ReachBackend):
 
     def marginal_probability(self, interest_id: int) -> float:
         """Fraction of the world base holding ``interest_id``."""
-        key = int(interest_id)
-        cached = self._marginal_cache.get(key)
-        if cached is None:
-            position = self._positions(np.asarray([key], dtype=np.int64))[0]
-            cached = float(self._marginal_array[position])
-            if len(self._marginal_cache) >= _SCALAR_CACHE_SIZE:
-                self._marginal_cache.pop(next(iter(self._marginal_cache)))
-            self._marginal_cache[key] = cached
-        return cached
+        position = self._positions(np.asarray([int(interest_id)], dtype=np.int64))
+        return float(self._marginal_array[position[0]])
 
     def marginal_audience(
         self, interest_id: int, locations: Sequence[str] | None = None
@@ -246,30 +229,6 @@ class StatisticalReachModel(ReachBackend):
         return self.marginal_probability(interest_id) * self.world_size(locations)
 
     # -- combinations ----------------------------------------------------------
-
-    def intersection_probability(self, interest_ids: Sequence[int]) -> float:
-        """Fraction of users holding *all* interests in ``interest_ids``."""
-        ids = np.asarray([int(i) for i in interest_ids], dtype=np.int64)
-        if ids.size == 0:
-            return 1.0
-        return float(self.prefix_intersection_probabilities(ids)[-1])
-
-    def prefix_intersection_probabilities(
-        self, ordered_ids: Sequence[int]
-    ) -> np.ndarray:
-        """Intersection probability of every prefix ``1..N`` of an id list.
-
-        ``result[k - 1]`` equals ``intersection_probability(ordered_ids[:k])``
-        bit-for-bit; the whole vector is computed in a single vectorised
-        cumulative pass (O(N log N) instead of O(N^2)).
-        """
-        ids = np.asarray([int(i) for i in ordered_ids], dtype=np.int64)
-        if ids.size == 0:
-            return np.empty(0, dtype=float)
-        positions = self._positions(ids)
-        probs = self._marginal_array[positions]
-        topics = self._topic_codes[positions]
-        return self._prefix_probabilities(probs, topics)
 
     def union_probability(self, interest_ids: Sequence[int]) -> float:
         """Fraction of users holding *at least one* interest in the set."""
@@ -291,47 +250,21 @@ class StatisticalReachModel(ReachBackend):
         """Audience size of an interest combination restricted to locations.
 
         The value is *not* floored or rounded; the Ads API layer applies the
-        Potential Reach reporting rules.
+        Potential Reach reporting rules.  An AND audience is the last cell
+        of a one-row :meth:`prefix_audiences_panel` call.
         """
         ids = tuple(int(i) for i in interest_ids)
         base = self.world_size(locations)
         if not ids:
             return base
         if combine == "and":
-            # Shared prefix kernel: the full-set audience is the last prefix.
-            return float(self.prefix_audiences(ids, locations)[-1])
+            row = np.asarray([ids], dtype=np.int64)
+            return float(self.prefix_audiences_panel(row, [len(ids)], locations)[0, -1])
         if combine == "or":
             probability = self.union_probability(ids)
             audience = base * probability * self._jitter(ids)
             return max(audience, 0.0)
         raise ConfigurationError(f"unknown combine mode: {combine!r}")
-
-    def prefix_audiences(
-        self,
-        ordered_ids: Sequence[int],
-        locations: Sequence[str] | None = None,
-    ) -> np.ndarray:
-        """Audience sizes of every prefix ``1..N`` of an ordered id list.
-
-        This is the batched counterpart of calling :meth:`audience_for` on
-        each prefix (AND semantics) and returns bit-identical values, one
-        vectorised pass instead of N scalar queries.
-        """
-        ids = np.asarray([int(i) for i in ordered_ids], dtype=np.int64)
-        base = self.world_size(locations)
-        if ids.size == 0:
-            return np.empty(0, dtype=float)
-        positions = self._positions(ids)
-        probs = self._marginal_array[positions]
-        topics = self._topic_codes[positions]
-        intersections = self._prefix_probabilities(probs, topics)
-        jitters = lognormal_jitter(
-            prefix_seeds(ids, self._jitter_key), self._config.jitter_log10_sigma
-        )
-        audiences = base * intersections * jitters
-        # The jitter never pushes an AND-audience above its rarest marginal.
-        rarest = base * np.minimum.accumulate(probs)
-        return np.maximum(np.minimum(audiences, rarest), 0.0)
 
     def prefix_audiences_panel(
         self,
@@ -339,20 +272,20 @@ class StatisticalReachModel(ReachBackend):
         counts: Sequence[int] | np.ndarray,
         locations: Sequence[str] | None = None,
     ) -> np.ndarray:
-        """Prefix audiences for a whole panel of ordered id lists at once.
+        """AND audiences of every prefix of every row of a padded id matrix.
 
         ``id_matrix`` is a padded ``(n_users, width)`` integer matrix whose
         row ``u`` holds the first ``counts[u]`` ordered interest ids of one
         user (entries beyond ``counts[u]`` are padding and never read).  The
-        result has the same shape; ``result[u, k]`` equals
-        ``prefix_audiences(id_matrix[u, :counts[u]], locations)[k]``
-        bit-for-bit for ``k < counts[u]`` and is ``NaN`` elsewhere.
+        result has the same shape; ``result[u, k]`` is the audience of
+        ``id_matrix[u, :k + 1]`` for ``k < counts[u]`` and ``NaN``
+        elsewhere.
 
-        This is the panel-scale collection kernel: every cumulative quantity
-        (running minima, log-sums, per-topic boost corrections, jitter
-        seeds) runs row-parallel over the whole matrix, so the users × N
-        measurement of the paper costs a handful of array sweeps instead of
-        one Python iteration per user.
+        This is the model's one AND kernel (see the module docstring):
+        every cumulative quantity (running minima, log-sums, per-topic
+        boost corrections, jitter seeds) runs row-parallel over the whole
+        matrix, so the users × N measurement of the paper costs a handful
+        of array sweeps instead of one Python iteration per user.
         """
         ids = np.asarray(id_matrix, dtype=np.int64)
         if ids.ndim != 2:
@@ -376,11 +309,7 @@ class StatisticalReachModel(ReachBackend):
         # (every kernel stage is prefix-local, so right-hand padding can
         # never leak into a valid cell).
         safe_ids = np.where(valid, ids, self._sorted_ids[0])
-        positions = np.searchsorted(self._sorted_ids, safe_ids)
-        positions = np.minimum(positions, len(self._sorted_ids) - 1)
-        mismatched = (self._sorted_ids[positions] != safe_ids) & valid
-        if mismatched.any():
-            raise UnknownInterestError(int(safe_ids[mismatched][0]))
+        positions = self._positions(safe_ids)
         probs = self._marginal_array[positions]
         topics = self._topic_codes[positions]
         intersections = self._prefix_probabilities_panel(probs, topics)
@@ -393,58 +322,6 @@ class StatisticalReachModel(ReachBackend):
         clipped = np.maximum(np.minimum(audiences, rarest), 0.0)
         result[valid] = clipped[valid]
         return result
-
-    def audience_for_batch(
-        self,
-        combinations: Sequence[Sequence[int]],
-        locations: Sequence[str] | None = None,
-        *,
-        combine: str = "and",
-    ) -> np.ndarray:
-        """Audience sizes for many combinations in one call.
-
-        Equivalent to looping :meth:`audience_for` (bit-identical results).
-        Consecutive AND-combinations that extend each other by one interest
-        — the prefix families issued by the audience-size collector — are
-        detected and served by a single :meth:`prefix_audiences` kernel call
-        per chain, turning the O(N^2) per-user query loop into O(N).
-        """
-        combos = [tuple(int(i) for i in combination) for combination in combinations]
-        results = np.empty(len(combos), dtype=float)
-        if not combos:
-            return results
-        base = self.world_size(locations)
-        if combine == "or":
-            for index, combo in enumerate(combos):
-                results[index] = self.audience_for(combo, locations, combine="or")
-            return results
-        if combine != "and":
-            raise ConfigurationError(f"unknown combine mode: {combine!r}")
-        start = 0
-        while start < len(combos):
-            # Grow the maximal prefix chain starting at ``start``.
-            end = start + 1
-            previous = combos[start]
-            while end < len(combos):
-                candidate = combos[end]
-                if (
-                    len(candidate) == len(previous) + 1
-                    and candidate[: len(previous)] == previous
-                ):
-                    previous = candidate
-                    end += 1
-                else:
-                    break
-            longest = combos[end - 1]
-            if longest:
-                values = self.prefix_audiences(longest, locations)
-            else:
-                values = np.empty(0, dtype=float)
-            for index in range(start, end):
-                length = len(combos[index])
-                results[index] = base if length == 0 else values[length - 1]
-            start = end
-        return results
 
     # -- internals ------------------------------------------------------------
 
@@ -476,66 +353,23 @@ class StatisticalReachModel(ReachBackend):
         positions = np.minimum(positions, len(self._sorted_ids) - 1)
         mismatched = self._sorted_ids[positions] != ids
         if mismatched.any():
-            raise UnknownInterestError(int(ids[np.argmax(mismatched)]))
+            raise UnknownInterestError(int(ids[mismatched][0]))
         return positions
-
-    def _prefix_probabilities(
-        self, probs: np.ndarray, topics: np.ndarray
-    ) -> np.ndarray:
-        """Conditional-retention intersection probability of every prefix.
-
-        All operations are prefix-local (cumulative minima, sums and per-
-        topic cumulative sums), so ``result[:k]`` of a truncated call is
-        bit-identical to the first ``k`` entries of the full call — the
-        property that lets scalar queries share this kernel.
-        """
-        n = probs.size
-        alpha = self._config.correlation_alpha
-        boost = 1.0 + self._config.topic_affinity_boost
-        with np.errstate(all="ignore"):
-            cumulative_min = np.minimum.accumulate(probs)
-            previous_min = np.concatenate(([np.inf], cumulative_min[:-1]))
-            new_min = probs < previous_min
-            # Index of the rarest interest within each prefix (first winner
-            # on ties, matching a stable sort by probability).
-            rarest_index = np.maximum.accumulate(
-                np.where(new_min, np.arange(n), 0)
-            )
-            retention = probs**alpha
-            plain = np.minimum(1.0, retention)
-            boosted = np.minimum(1.0, retention * boost)
-            log_plain = np.log(plain)
-            log_boost_delta = np.log(boosted) - log_plain
-            total_log = np.cumsum(log_plain)
-            # Per-topic cumulative boost corrections; only the column of the
-            # prefix's rarest topic is consumed per row.
-            codes, inverse = np.unique(topics, return_inverse=True)
-            one_hot = inverse[:, None] == np.arange(codes.size)[None, :]
-            topic_cumulative = np.cumsum(
-                np.where(one_hot, log_boost_delta[:, None], 0.0), axis=0
-            )
-            rows = np.arange(n)
-            rarest_topic = inverse[rarest_index]
-            same_topic = topic_cumulative[rows, rarest_topic]
-            log_probability = (
-                np.log(probs[rarest_index])
-                + (total_log - log_plain[rarest_index])
-                + (same_topic - log_boost_delta[rarest_index])
-            )
-            return np.minimum(np.exp(log_probability), probs[rarest_index])
 
     def _prefix_probabilities_panel(
         self, probs: np.ndarray, topics: np.ndarray
     ) -> np.ndarray:
-        """Row-parallel :meth:`_prefix_probabilities` over a panel matrix.
+        """Conditional-retention intersection probability of every prefix.
 
-        Every cumulative operation of the scalar kernel is sequential along
-        the row axis, so running it with ``axis=1`` reproduces each row
-        bit-for-bit.  The only stage that is not a plain axis-wise reduction
-        — the per-topic cumulative boost corrections — is swept column by
-        column (at most ``width`` ≤ 25 steps, each vectorised over all
-        users), accumulating per-(user, topic) running sums in exactly the
-        order the scalar kernel's masked ``cumsum`` consumes them.
+        ``probs`` and ``topics`` are ``(n_users, width)`` matrices of the
+        marginals and topic codes of each row's ordered ids.  Every
+        cumulative operation runs along the row axis, so a cell depends
+        only on the cells before it in its row (first rarest interest wins
+        on ties, matching a stable sort by probability).  The per-topic
+        cumulative boost corrections are swept column by column (at most
+        ``width`` ≤ 25 steps, each vectorised over all users), keeping one
+        running sum per (user, topic); only the column of each prefix's
+        rarest topic is read.
         """
         n_users, width = probs.shape
         alpha = self._config.correlation_alpha

@@ -1,15 +1,15 @@
 """Micro-batching coalescer: many queued queries, one bulk call, one bill.
 
 Each service tick folds every popped request into a single padded
-``(n_requests, max_prefix)`` id matrix and runs it through the staged
-bulk endpoint exactly the way the sharded exec layer does:
-validate → one merged :class:`~repro.adsapi.CallBill` settle → the pure
-``compute_reach_matrix`` kernel → one bill record.  Because the prefix
-kernel is row-local, row ``r`` of the coalesced matrix is bit-identical
-to a direct one-request :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix`
-call for the same interests — the service's parity contract — and
-because the bill is settled once per tick, billing stays exactly-once no
-matter how many tenants share the batch or how many retries preceded it.
+``(n_requests, max_prefix)`` id matrix and serves it with one
+:meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix` call, which
+validates the matrix, settles one merged :class:`~repro.adsapi.CallBill`,
+runs the prefix kernel and records the bill.  Because the kernel is
+row-local, row ``r`` of the coalesced matrix is bit-identical to a direct
+one-request ``estimate_reach_matrix`` call for the same interests — the
+service's parity contract — and because the bill is settled once per
+tick, billing stays exactly-once no matter how many tenants share the
+batch or how many retries preceded it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from ..adsapi.reachestimate import pad_id_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adsapi import AdsManagerAPI
@@ -40,22 +42,11 @@ def coalesce_reach(
     """
     if not requests:
         return []
-    width = max(request.cost for request in requests)
-    ids = np.zeros((len(requests), width), dtype=np.int64)
-    counts = np.zeros(len(requests), dtype=np.int64)
-    for row, request in enumerate(requests):
-        ids[row, : request.cost] = request.interests
-        counts[row] = request.cost
-    ids, counts, effective = api.validate_reach_matrix(
-        ids, counts, locations=locations
-    )
-    bill = api.reach_matrix_bill(counts)
-    api.settle_reach_bill(bill)
-    matrix = api.compute_reach_matrix(ids, counts, effective)
-    api.record_reach_bill(bill)
+    ids, counts = pad_id_rows([request.interests for request in requests])
+    matrix = api.estimate_reach_matrix(ids, counts, locations=locations)
     return [
-        tuple(float(v) for v in matrix[row, : int(counts[row])])
-        for row in range(len(requests))
+        tuple(float(v) for v in matrix[row, : request.cost])
+        for row, request in enumerate(requests)
     ]
 
 

@@ -3,6 +3,10 @@
 Each oracle is the plainest statement of what a production path computes,
 kept out of ``src/`` because nothing but the parity checks runs it:
 
+* :func:`prefix_audiences` — the AND audiences of every prefix of one
+  ordered id list, computed with 1-D cumulative sweeps; the reference
+  ``StatisticalReachModel.prefix_audiences_panel`` is pinned against row
+  by row, bit for bit;
 * :func:`fused_collect`, :func:`batched_collect` and :func:`scalar_collect`
   — the audience-size matrix of one strategy from one whole-panel
   ``estimate_reach_matrix`` call, one ``estimate_reach_batch`` prefix chain
@@ -46,6 +50,73 @@ from repro.population import (
     sample_ages,
     sample_gender_index,
 )
+from repro.reach import StatisticalReachModel
+from repro.reach.jitter import lognormal_jitter, prefix_seeds
+
+# -- reach kernel ------------------------------------------------------------------
+
+
+def prefix_audiences(
+    model: StatisticalReachModel,
+    ordered_ids: Sequence[int],
+    locations: Sequence[str] | None = None,
+) -> np.ndarray:
+    """AND audiences of every prefix ``1..N`` of one ordered id list.
+
+    The per-list form of the model's panel kernel: the same
+    conditional-retention product, jitter and rarest-marginal clip, with
+    every cumulative quantity a 1-D sweep over the list.
+    """
+    ids = np.asarray([int(i) for i in ordered_ids], dtype=np.int64)
+    if ids.size == 0:
+        return np.empty(0, dtype=float)
+    base = model.world_size(locations)
+    positions = model._positions(ids)
+    probs = model._marginal_array[positions]
+    intersections = _prefix_probabilities(model, probs, model._topic_codes[positions])
+    jitters = lognormal_jitter(
+        prefix_seeds(ids, model._jitter_key), model.config.jitter_log10_sigma
+    )
+    audiences = base * intersections * jitters
+    # The jitter never pushes an AND-audience above its rarest marginal.
+    rarest = base * np.minimum.accumulate(probs)
+    return np.maximum(np.minimum(audiences, rarest), 0.0)
+
+
+def _prefix_probabilities(
+    model: StatisticalReachModel, probs: np.ndarray, topics: np.ndarray
+) -> np.ndarray:
+    """Conditional-retention intersection probability of every prefix."""
+    n = probs.size
+    alpha = model.config.correlation_alpha
+    boost = 1.0 + model.config.topic_affinity_boost
+    with np.errstate(all="ignore"):
+        cumulative_min = np.minimum.accumulate(probs)
+        previous_min = np.concatenate(([np.inf], cumulative_min[:-1]))
+        new_min = probs < previous_min
+        # Index of the rarest interest within each prefix (first winner on
+        # ties, matching a stable sort by probability).
+        rarest_index = np.maximum.accumulate(np.where(new_min, np.arange(n), 0))
+        retention = probs**alpha
+        plain = np.minimum(1.0, retention)
+        boosted = np.minimum(1.0, retention * boost)
+        log_plain = np.log(plain)
+        log_boost_delta = np.log(boosted) - log_plain
+        total_log = np.cumsum(log_plain)
+        # Per-topic cumulative boost corrections; only the column of the
+        # prefix's rarest topic is consumed per row.
+        codes, inverse = np.unique(topics, return_inverse=True)
+        one_hot = inverse[:, None] == np.arange(codes.size)[None, :]
+        topic_cumulative = np.cumsum(
+            np.where(one_hot, log_boost_delta[:, None], 0.0), axis=0
+        )
+        same_topic = topic_cumulative[np.arange(n), inverse[rarest_index]]
+        log_probability = (
+            np.log(probs[rarest_index])
+            + (total_log - log_plain[rarest_index])
+            + (same_topic - log_boost_delta[rarest_index])
+        )
+        return np.minimum(np.exp(log_probability), probs[rarest_index])
 
 # -- collection --------------------------------------------------------------------
 

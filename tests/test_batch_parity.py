@@ -1,11 +1,11 @@
 """Batch/scalar parity for the vectorised reach pipeline.
 
-The batched entry points (``prefix_audiences``, ``audience_for_batch``,
+The batched entry points (``prefix_audiences_panel``,
 ``estimate_reach_batch``, ``fit_vas_many``, the collector) are required to
-return **bit-identical** results to their scalar counterparts —
-they share the same kernels, including the counter-based jitter stream.
-These property-style tests pin that contract, plus the monotonicity
-invariants both paths must uphold.
+return **bit-identical** results to their scalar counterparts and to the
+reference kernels of ``tests/oracles.py`` — they share the same kernels,
+including the counter-based jitter stream.  These property-style tests pin
+that contract, plus the monotonicity invariants both paths must uphold.
 """
 
 from __future__ import annotations
@@ -44,11 +44,17 @@ def id_pool(model):
     return [int(i) for i in rng.choice(ids, size=40, replace=False)]
 
 
+def _prefix_row(model, ordered):
+    """The panel kernel's prefix audiences of one ordered id list."""
+    row = np.asarray([ordered], dtype=np.int64)
+    return model.prefix_audiences_panel(row, [len(ordered)])[0]
+
+
 class TestPrefixKernelParity:
     def test_prefix_audiences_match_scalar_queries(self, model, id_pool):
         for locations in (None, ("US", "ES"), tuple(country_codes())):
             ordered = id_pool[:20]
-            batch = model.prefix_audiences(ordered, locations)
+            batch = oracles.prefix_audiences(model, ordered, locations)
             scalar = np.array(
                 [
                     model.audience_for(ordered[: k + 1], locations)
@@ -57,16 +63,8 @@ class TestPrefixKernelParity:
             )
             assert np.array_equal(batch, scalar)
 
-    def test_prefix_intersections_match_scalar(self, model, id_pool):
-        ordered = id_pool[:15]
-        batch = model.prefix_intersection_probabilities(ordered)
-        scalar = np.array(
-            [model.intersection_probability(ordered[: k + 1]) for k in range(15)]
-        )
-        assert np.array_equal(batch, scalar)
-
     def test_prefix_audiences_non_increasing(self, model, id_pool):
-        audiences = model.prefix_audiences(id_pool[:25])
+        audiences = _prefix_row(model, id_pool[:25])
         assert np.all(np.diff(audiences) <= 1e-9)
         assert np.all(audiences >= 0.0)
 
@@ -87,42 +85,9 @@ class TestPrefixKernelParity:
         assert forward_seed == backward_seed
 
     def test_truncated_call_is_a_prefix_of_the_full_call(self, model, id_pool):
-        full = model.prefix_audiences(id_pool[:25])
-        truncated = model.prefix_audiences(id_pool[:10])
+        full = _prefix_row(model, id_pool[:25])
+        truncated = _prefix_row(model, id_pool[:10])
         assert np.array_equal(full[:10], truncated)
-
-
-class TestAudienceForBatch:
-    def test_arbitrary_combinations_match_looped_scalar(self, model, id_pool):
-        rng = np.random.default_rng(11)
-        combos = [
-            tuple(rng.choice(id_pool, size=size, replace=False).tolist())
-            for size in (1, 7, 3, 25, 2, 14)
-        ]
-        for combine in ("and", "or"):
-            batch = model.audience_for_batch(combos, ("MX",), combine=combine)
-            scalar = [
-                model.audience_for(c, ("MX",), combine=combine) for c in combos
-            ]
-            assert np.array_equal(batch, np.array(scalar))
-
-    def test_prefix_chains_inside_a_batch(self, model, id_pool):
-        ordered = id_pool[:9]
-        combos = [tuple(ordered[:k]) for k in range(1, 10)]
-        combos += [tuple(id_pool[9:12])]  # breaks the chain
-        combos += [tuple(id_pool[12:15]), tuple(id_pool[12:16])]  # new chain
-        batch = model.audience_for_batch(combos)
-        scalar = [model.audience_for(c) for c in combos]
-        assert np.array_equal(batch, np.array(scalar))
-
-    def test_protocol_default_matches_statistical_backend(self, id_pool, model):
-        from repro.reach.backend import ReachBackend
-
-        combos = [tuple(id_pool[:k]) for k in range(1, 6)]
-        fallback = ReachBackend.audience_for_batch(model, combos)
-        assert np.array_equal(fallback, model.audience_for_batch(combos))
-        fallback_prefix = ReachBackend.prefix_audiences(model, id_pool[:6])
-        assert np.array_equal(fallback_prefix, model.prefix_audiences(id_pool[:6]))
 
 
 class TestEstimateReachBatch:
@@ -131,6 +96,43 @@ class TestEstimateReachBatch:
         return AdsManagerAPI(
             model, platform=PlatformConfig.legacy_2017(), clock=SimClock()
         )
+
+    @staticmethod
+    def _batched_and_looped(model, specs):
+        # Reporting floor 1 keeps small audiences distinguishable.
+        batched_api, looped_api = (
+            AdsManagerAPI(model, platform=PlatformConfig(reach_floor=1), clock=SimClock())
+            for _ in range(2)
+        )
+        batched = batched_api.estimate_reach_batch(specs)
+        looped = tuple(looped_api.estimate_reach(spec) for spec in specs)
+        assert batched_api.call_stats() == looped_api.call_stats()
+        return batched, looped
+
+    def test_arbitrary_combinations_match_looped_scalar(self, model, id_pool):
+        rng = np.random.default_rng(11)
+        combos = [
+            tuple(rng.choice(id_pool, size=size, replace=False).tolist())
+            for size in (1, 7, 3, 25, 2, 14)
+        ]
+        specs = [
+            TargetingSpec.for_interests(c, locations=("MX",), combine=combine)
+            for combine in ("and", "or")
+            for c in combos
+        ]
+        batched, looped = self._batched_and_looped(model, specs)
+        assert batched == looped
+
+    def test_prefix_chains_inside_a_batch(self, model, id_pool):
+        ordered = id_pool[:9]
+        combos = [tuple(ordered[:k]) for k in range(1, 10)]
+        combos += [tuple(id_pool[9:12])]  # breaks the chain
+        combos += [tuple(id_pool[12:15]), tuple(id_pool[12:16])]  # new chain
+        combos += [tuple(id_pool[12:15] + id_pool[20:21])]  # a sibling, not a child
+        combos += [tuple(id_pool[12:14])]  # a shorter prefix
+        specs = [TargetingSpec.for_interests(c) for c in combos]
+        batched, looped = self._batched_and_looped(model, specs)
+        assert batched == looped
 
     def test_batch_equals_looped_estimates(self, api, id_pool):
         locations = country_codes()

@@ -253,6 +253,13 @@ class TestErrorHygiene:
         assert err.count("\n") == 1
         assert err.startswith("repro-facebook: PanelError:")
 
+    def test_fdvt_report_without_a_qualifying_panellist_exits_3(self, capsys):
+        exit_code = main(["fdvt-report", *FACTOR, "--min-interests", "1000000"])
+        assert exit_code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro-facebook: PanelError: no panellist holds")
+
     def test_doomed_chaos_sweep_exits_3_with_shard_context(
         self, tmp_path, capsys
     ):

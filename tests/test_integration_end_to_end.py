@@ -111,10 +111,40 @@ class TestBackendConsistency:
 
     def test_ads_api_works_with_either_backend(self, backends, catalog):
         _, agents = backends
-        api = AdsManagerAPI(agents, platform=PlatformConfig.modern_2020(), clock=SimClock())
+
+        def fresh_api():
+            return AdsManagerAPI(
+                agents, platform=PlatformConfig.modern_2020(), clock=SimClock()
+            )
+
+        api = fresh_api()
         popular = catalog.most_popular(1)[0].interest_id
         estimate = api.estimate_reach(TargetingSpec.for_interests([popular]))
         assert estimate.potential_reach >= api.platform.reach_floor
+
+        # The agent backend has no vectorised kernel: the bulk and batch
+        # endpoints run on the protocol's looping prefix_audiences_panel.
+        interests = max(agents.population, key=lambda u: u.interest_count).interest_ids
+        rows = [interests[:6], (), interests[6:8], interests[8:13]]
+        ids = np.full((len(rows), 6), -1, dtype=np.int64)
+        for index, row in enumerate(rows):
+            ids[index, : len(row)] = row
+        cell_api, matrix_api = fresh_api(), fresh_api()
+        matrix = matrix_api.estimate_reach_matrix(ids, [len(row) for row in rows])
+        for index, row in enumerate(rows):
+            cells = [
+                cell_api.estimate_reach(TargetingSpec.for_interests(row[:k])).potential_reach
+                for k in range(1, len(row) + 1)
+            ]
+            assert matrix[index, : len(row)].tolist() == cells
+        assert matrix_api.call_stats() == cell_api.call_stats()
+
+        chain = TargetingSpec.prefix_chain(interests[:10])
+        cell_api, batch_api = fresh_api(), fresh_api()
+        batched = batch_api.estimate_reach_batch(chain)
+        assert list(batched) == [cell_api.estimate_reach(spec) for spec in chain]
+        assert batch_api.call_stats() == cell_api.call_stats()
+        assert len({e.potential_reach for e in batched}) > 1
 
 
 class TestFDVTDefenceLoop:

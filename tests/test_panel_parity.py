@@ -67,7 +67,7 @@ class TestPrefixAudiencesPanel:
         matrix = _ragged_matrix(id_pool, counts, 25)
         panel = model.prefix_audiences_panel(matrix, counts, locations)
         for row, count in enumerate(counts):
-            expected = model.prefix_audiences(matrix[row, :count], locations)
+            expected = oracles.prefix_audiences(model, matrix[row, :count], locations)
             assert np.array_equal(panel[row, :count], expected)
             assert np.isnan(panel[row, count:]).all()
 
