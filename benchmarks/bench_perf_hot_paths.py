@@ -134,6 +134,8 @@ QUICK_SHARD_TILES = 64
 SHARD_WORKERS = 4
 #: Interleaved (plain, guarded) pairs timed by the fault-layer stage.
 FAULT_PAIRS = 11
+#: Interleaved (hand-wired, SweepRunner) pairs timed by the scenario stage.
+SCENARIO_PAIRS = 5
 
 #: Reach-service stage knobs.  Capacity is ``max_batch_cells /
 #: tick_seconds / mean request cost``; the healthy trace runs at half of
@@ -774,9 +776,10 @@ def run_benchmark(factor: int, n_bootstrap: int, shard_tiles: int) -> dict:
         {"seed": [1, 2, 3, 4], "strategies": [("least_popular",), ("random",)]},
     )
 
-    def hand_wired_grid() -> dict[str, float]:
+    handwired_values: dict[str, float] = {}
+
+    def hand_wired_grid() -> None:
         """The same eight studies, wired by hand (the pre-scenario style)."""
-        values: dict[str, float] = {}
         for spec in grid:
             grid_simulation = build_simulation(spec.config(), seed=spec.seed)
             model = grid_simulation.uniqueness_model()
@@ -787,19 +790,26 @@ def run_benchmark(factor: int, n_bootstrap: int, shard_tiles: int) -> dict:
                 else random_selection
             )
             report = model.estimate(chosen, probabilities=(0.9,))
-            values[spec.name] = report.estimates[0.9].n_p
-        return values
+            handwired_values[spec.name] = report.estimates[0.9].n_p
 
-    handwired_sweep_s, handwired_values = _timed(
-        "hand-wired (direct model calls)", hand_wired_grid
-    )
     # share_builds off: this stage measures pure orchestration overhead
-    # against hand-wired runs that each build their own simulation.
-    scenario_sweep_s, sweep_results = _timed(
-        "SweepRunner (scenario layer)",
+    # against hand-wired runs that each build their own simulation.  With
+    # no build cache on either side, every pair does the same work.
+    handwired_times, scenario_times, sweep_results = _paired_runs(
+        SCENARIO_PAIRS,
+        hand_wired_grid,
         lambda: SweepRunner(share_builds=False).run(grid),
     )
-    scenario_overhead = scenario_sweep_s / handwired_sweep_s - 1.0
+    handwired_sweep_s = float(np.median(handwired_times))
+    scenario_sweep_s = float(np.median(scenario_times))
+    median_of = f"median of {SCENARIO_PAIRS}"
+    print(
+        f"  {f'hand-wired ({median_of})':<38s} {handwired_sweep_s * 1000.0:10.1f} ms"
+    )
+    print(
+        f"  {f'SweepRunner ({median_of})':<38s} {scenario_sweep_s * 1000.0:10.1f} ms"
+    )
+    scenario_overhead = float(np.median(scenario_times / handwired_times)) - 1.0
     sweep_identical = bool(
         len(sweep_results) == len(grid)
         and all(
@@ -809,7 +819,10 @@ def run_benchmark(factor: int, n_bootstrap: int, shard_tiles: int) -> dict:
         )
     )
     print(f"  sweep results bit-identical: {sweep_identical}")
-    print(f"  orchestration overhead: {scenario_overhead:+.1%} per sweep")
+    print(
+        f"  orchestration overhead: {scenario_overhead:+.1%} per sweep "
+        f"(median of {SCENARIO_PAIRS} per-pair ratios)"
+    )
 
     print("sweep build cache (8-row analysis-knob-only grid):")
     cache_grid = expand_grid(
@@ -1073,7 +1086,8 @@ def main() -> int:
         type=float,
         default=None,
         help="exit non-zero when the scenario layer's per-sweep orchestration "
-        "overhead (sweep time / hand-wired time - 1) exceeds this fraction",
+        "overhead (median per-pair sweep time / hand-wired time - 1) exceeds "
+        "this fraction",
     )
     parser.add_argument(
         "--min-sweep-cache-gain",

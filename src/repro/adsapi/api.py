@@ -193,8 +193,8 @@ class AdsManagerAPI:
         AND specs are grouped by location list, and each group costs one
         backend ``prefix_audiences_panel`` call.  A spec that extends the
         previous spec of its group by one interest shares that spec's
-        kernel row, so a prefix chain (``TargetingSpec.prefix_chain``)
-        costs a single row.  OR specs, Custom Audience specs and specs
+        kernel row, so a prefix chain (the specs of every prefix
+        ``1..N`` of one ordered interest list) costs a single row.  OR specs, Custom Audience specs and specs
         without interests are resolved one by one.
         """
         specs = list(specs)

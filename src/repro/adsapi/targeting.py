@@ -10,7 +10,7 @@ PII-based targeting discussed in Section 7.2.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..errors import TargetingValidationError
@@ -64,38 +64,6 @@ class TargetingSpec:
             interests=tuple(int(i) for i in interests),
             interest_combine=combine,
         )
-
-    @staticmethod
-    def prefix_chain(
-        interests: Sequence[int],
-        *,
-        locations: Sequence[str] | None = None,
-        combine: str = "and",
-    ) -> tuple["TargetingSpec", ...]:
-        """Specs for every prefix ``1..N`` of one ordered interest list.
-
-        The full-length spec is validated through the normal constructor;
-        every shorter prefix of a valid spec is itself valid (a dup-free
-        tuple stays dup-free when truncated and shares its locations), so
-        the remaining N-1 specs are materialised without re-running
-        ``__post_init__`` — this is the prefix-family fast path used by the
-        audience-size collector.
-        """
-        longest = TargetingSpec.for_interests(
-            interests, locations=locations, combine=combine
-        )
-        chain = []
-        for count in range(1, len(longest.interests)):
-            spec = object.__new__(TargetingSpec)
-            for spec_field in fields(TargetingSpec):
-                object.__setattr__(
-                    spec, spec_field.name, getattr(longest, spec_field.name)
-                )
-            object.__setattr__(spec, "interests", longest.interests[:count])
-            chain.append(spec)
-        if longest.interests:
-            chain.append(longest)
-        return tuple(chain)
 
     # -- derived views ----------------------------------------------------------
 

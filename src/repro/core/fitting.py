@@ -87,6 +87,16 @@ class VASFitBatch:
         return int(self.slope_a.size)
 
 
+def is_floored(values: np.ndarray, floor: int) -> np.ndarray:
+    """Elementwise: has a VAS value reached the reporting floor?
+
+    The one floor test behind :func:`truncate_at_floor`,
+    :func:`fit_vas_many` and the bootstrap's early exit (``NaN`` is never
+    floored).
+    """
+    return values <= floor + 1e-9
+
+
 def truncate_at_floor(vas: np.ndarray, floor: int) -> np.ndarray:
     """Keep VAS points up to and including the first floored value.
 
@@ -99,7 +109,7 @@ def truncate_at_floor(vas: np.ndarray, floor: int) -> np.ndarray:
     valid = ~np.isnan(values)
     if not valid.all():
         values = values[: int(np.argmax(~valid))]
-    at_floor = np.nonzero(values <= floor + 1e-9)[0]
+    at_floor = np.nonzero(is_floored(values, floor))[0]
     if at_floor.size == 0:
         return values
     return values[: int(at_floor[0]) + 1]
@@ -126,7 +136,7 @@ def fit_vas_many(vas_rows: np.ndarray, floor: int) -> VASFitBatch:
     # (keeping the first floored point, as the paper does).
     first_invalid = np.where(invalid.any(axis=1), np.argmax(invalid, axis=1), width)
     before_nan = column[None, :] < first_invalid[:, None]
-    at_floor = (rows <= floor + 1e-9) & before_nan
+    at_floor = is_floored(rows, floor) & before_nan
     has_floor = at_floor.any(axis=1)
     first_floor = np.where(has_floor, np.argmax(at_floor, axis=1), width)
     lengths = np.minimum(first_invalid, np.where(has_floor, first_floor + 1, width))

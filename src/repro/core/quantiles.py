@@ -16,9 +16,9 @@ mergeable :class:`AudienceAccumulator` absorbs per-shard sample blocks as
 they arrive — ``update(block)`` per block, ``merge(other)`` across
 accumulators, ``finalize()`` once — and produces a
 :class:`StreamedAudienceSamples`: a column store (per-N compact vectors of
-the valid samples plus per-user prefix lengths) that supports the same
-quantile interface and the bootstrap's row gathers *bit-identically* to the
-dense matrix, while the full users x N sample matrix is never materialised.
+the valid samples plus per-user prefix lengths) that answers the same
+quantile and bootstrap queries *bit-identically* to the dense matrix, while
+the full users x N sample matrix is never materialised.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ class AudienceSamples:
     def take_rows(self, row_indices: np.ndarray) -> np.ndarray:
         """Gather user rows by (possibly multi-dimensional) index array.
 
-        ``take_rows(idx)[..., :]`` equals ``matrix[idx]``; the bootstrap
-        resolves its resample index matrices through this method so dense
-        and streamed sample stores are interchangeable.
+        ``take_rows(idx)[..., :]`` equals ``matrix[idx]``, the same block
+        :meth:`StreamedAudienceSamples.take_rows` reconstructs.  The
+        bootstrap does not gather rows (it sorts each column once); the
+        resampling reference in the tests does.
         """
         return self.matrix[np.asarray(row_indices, dtype=np.intp)]
 
@@ -144,12 +145,13 @@ def masked_column_quantiles(
 
     ``stacked`` has shape ``(replicates, users, N)``; the result has shape
     ``(len(q_percents), replicates, N)`` and is bit-identical to calling
-    :func:`numpy.nanpercentile` per replicate.  NumPy's nan-aware quantile
-    dispatches a Python call per (replicate, N) slice, which dominates the
-    bootstrap; this kernel instead sorts the whole stack once (NaNs sort to
-    the end), counts valid entries per column, and evaluates the same
-    linear-interpolation formula (including the ``gamma >= 0.5`` anti-
-    cancellation branch of NumPy's ``_lerp``) with pure array indexing.
+    :func:`numpy.nanpercentile` per replicate.  The kernel sorts the whole
+    stack once (NaNs sort to the end), counts valid entries per column, and
+    evaluates the same linear-interpolation formula (including the
+    ``gamma >= 0.5`` anti-cancellation branch of NumPy's ``_lerp``) with
+    pure array indexing.  The bootstrap no longer calls it — its sort-once
+    kernel uses the same ranks and interpolation — so it serves as the
+    quantile step of the tests' resampling reference.
     """
     values = np.asarray(stacked, dtype=float)
     if values.ndim != 3:
@@ -190,7 +192,7 @@ class StreamedAudienceSamples:
     Holds, for every interest count ``N``, the compact vector of valid
     samples (users with at least ``N`` interests, in panel-row order) plus
     each user's prefix length — never the dense users x N matrix.  The
-    quantile interface (:meth:`vas_many`) and the bootstrap's row gathers
+    quantile interface (:meth:`vas_many`) and the row gathers
     (:meth:`take_rows`) are bit-identical to their dense
     :class:`AudienceSamples` counterparts: the compact column equals the
     dense column with its ``NaN`` tail removed, and a gathered row block
@@ -262,57 +264,20 @@ class StreamedAudienceSamples:
     def take_rows(self, row_indices: np.ndarray) -> np.ndarray:
         """Reconstruct ``matrix[row_indices]`` from the column store.
 
-        The result is a dense gathered block (transient, sized by the
-        caller's chunking) — the full matrix itself is never built.  The
-        gather is fused: a position table maps every (user, column) cell to
-        its offset in the concatenated column values (with one trailing
-        ``NaN`` sentinel for the cells past each user's prefix), so a block
-        is one row-take on the table plus one value-take — no per-column
-        Python loop, no per-call rank recomputation.  Within column ``k``
-        the sample of user ``u`` sits at position ``rank_k(u)``, the number
-        of earlier rows with more than ``k`` valid samples; the table bakes
-        those ranks in once and is reused by every subsequent gather (the
-        bootstrap calls this per replicate chunk).
+        The result is a dense gathered block — the full matrix itself is
+        never built.  Column ``k`` holds the sample of user ``u`` at
+        position ``rank_k(u)``, the number of earlier rows with more than
+        ``k`` valid samples, so the block is filled one column at a time.
         """
         indices = np.asarray(row_indices, dtype=np.intp)
-        values, positions = self._gather_table()
-        gathered = values[positions.take(indices.reshape(-1), axis=0)]
+        flat = indices.reshape(-1)
+        gathered = np.full((flat.size, self.max_interests), np.nan)
+        for k, column in enumerate(self.columns):
+            member = self.row_counts > k
+            ranks = np.cumsum(member) - 1
+            present = member[flat]
+            gathered[present, k] = column[ranks[flat[present]]]
         return gathered.reshape(*indices.shape, self.max_interests)
-
-    def _gather_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The fused-gather lookup: (extended values, per-cell positions).
-
-        Built lazily once per store.  ``positions[u, k]`` indexes the
-        concatenated column values, or the trailing ``NaN`` sentinel when
-        user ``u`` has no sample for column ``k``.  The table costs
-        ``n_users × max_interests`` int32/intp cells — a deliberate
-        memory-for-time trade that is still well below the dense float
-        matrix and is amortised across every bootstrap chunk.
-        """
-        cached = self.__dict__.get("_gather_cache")
-        if cached is None:
-            width = self.max_interests
-            sizes = np.fromiter(
-                (column.size for column in self.columns), dtype=np.int64, count=width
-            )
-            total = int(sizes.sum())
-            offsets = np.zeros(width, dtype=np.int64)
-            np.cumsum(sizes[:-1], out=offsets[1:])
-            member = self.row_counts[:, None] > np.arange(width)[None, :]
-            ranks = np.cumsum(member, axis=0) - 1
-            dtype = np.int32 if total + 1 <= np.iinfo(np.int32).max else np.intp
-            positions = np.where(
-                member, ranks + offsets[None, :], total
-            ).astype(dtype, copy=False)
-            values = np.empty(total + 1, dtype=float)
-            cursor = 0
-            for column in self.columns:
-                values[cursor : cursor + column.size] = column
-                cursor += column.size
-            values[total] = np.nan
-            cached = (values, positions)
-            object.__setattr__(self, "_gather_cache", cached)
-        return cached
 
     def to_samples(self) -> AudienceSamples:
         """Materialise the dense :class:`AudienceSamples` (debug/parity aid)."""

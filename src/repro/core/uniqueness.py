@@ -9,8 +9,10 @@ Both heavy stages run on the batched kernels: :meth:`UniquenessModel.collect`
 runs the collector's shard engine — per-shard strategy ordering off the
 panel's CSR store plus the prefix-reach kernel, with one merged rate-limit
 bill for the whole users × N matrix — and :meth:`UniquenessModel.estimate`
-computes its confidence intervals with the vectorised
-:func:`~repro.core.bootstrap.bootstrap_cutpoints`.
+computes its confidence intervals with
+:func:`~repro.core.bootstrap.bootstrap_cutpoints`, which sorts each column
+once, reads every replicate's quantiles off per-user draw counts and stops
+at the first N where every replicate has reached the floor.
 
 Pass a :class:`~repro.exec.ShardExecutor` (``executor=...``) to run both
 stages on a thread or process pool, or set ``stream=True`` to run the whole

@@ -32,11 +32,13 @@ Every backend, worker count and shard size is pinned bit-identical —
 samples *and* rate-limit accounting — by ``tests/test_exec_sharding.py``.
 
 The layer carries more than collection: ``bootstrap_cutpoints`` fans its
-replicate chunks over the same runners, ``FDVTExtension.build_risk_reports``
-shards its deduplicated bulk query, and the scenario layer's
-:class:`~repro.scenarios.SweepRunner` partitions whole experiment grids
-with the same :class:`ExecutionPlan` machinery — one execution vocabulary
-from a single kernel block up to a multi-scenario sweep.
+replicate chunks (drawn up front, each carrying the sorted sample columns
+built once per call) over the same runners,
+``FDVTExtension.build_risk_reports`` shards its deduplicated bulk query,
+and the scenario layer's :class:`~repro.scenarios.SweepRunner` partitions
+whole experiment grids with the same :class:`ExecutionPlan` machinery —
+one execution vocabulary from a single kernel block up to a
+multi-scenario sweep.
 
 Fault model (see :mod:`repro.faults` for the full contract)
 -----------------------------------------------------------

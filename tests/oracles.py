@@ -7,11 +7,17 @@ kept out of ``src/`` because nothing but the parity checks runs it:
   ordered id list, computed with 1-D cumulative sweeps; the reference
   ``StatisticalReachModel.prefix_audiences_panel`` is pinned against row
   by row, bit for bit;
+* :func:`prefix_chain` — the targeting specs of every prefix of one
+  ordered interest list, the input of a batched prefix query;
 * :func:`fused_collect`, :func:`batched_collect` and :func:`scalar_collect`
   — the audience-size matrix of one strategy from one whole-panel
   ``estimate_reach_matrix`` call, one ``estimate_reach_batch`` prefix chain
   per user, and one ``estimate_reach`` call per (user, N) cell.  All three
   order each user with the per-user ``strategy.order_interests``;
+* :func:`bootstrap_cutpoints_reference` — the bootstrap as a resampled
+  row gather, a sort-based quantile pass over the whole stack and a fit of
+  every column, per chunk; ``repro.core.bootstrap_cutpoints`` is pinned
+  against it bit for bit;
 * :func:`run_interest_shard_reference` — one ``InterestAssigner.assign``
   call per row, the executable statement of the stream contract in
   :mod:`repro.population.generation`;
@@ -25,15 +31,28 @@ on ``sys.path``, from ``benchmarks/bench_perf_hot_paths.py``.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
 
-from repro._rng import SeedLike, derive_generator, derive_seed, resolve_seed
+from repro._rng import (
+    SeedLike,
+    as_generator,
+    derive_generator,
+    derive_seed,
+    resolve_seed,
+)
 from repro.adsapi import AdsManagerAPI, TargetingSpec
 from repro.catalog import InterestCatalog
 from repro.config import ReproductionConfig
-from repro.core import AudienceSamples, SelectionStrategy
+from repro.core import (
+    AudienceSamples,
+    SelectionStrategy,
+    StreamedAudienceSamples,
+    fit_vas_many,
+    masked_column_quantiles,
+)
 from repro.fdvt import FDVTPanel, PanelBuilder
 from repro.fdvt.panel import _bias_table
 from repro.population import (
@@ -121,6 +140,35 @@ def _prefix_probabilities(
 # -- collection --------------------------------------------------------------------
 
 
+def prefix_chain(
+    interests: Sequence[int],
+    *,
+    locations: Sequence[str] | None = None,
+    combine: str = "and",
+) -> tuple[TargetingSpec, ...]:
+    """Specs for every prefix ``1..N`` of one ordered interest list.
+
+    The full-length spec is validated through the normal constructor;
+    every shorter prefix of a valid spec is itself valid (a dup-free tuple
+    stays dup-free when truncated and shares its locations), so the
+    remaining N-1 specs are materialised without re-running
+    ``__post_init__``.
+    """
+    longest = TargetingSpec.for_interests(
+        interests, locations=locations, combine=combine
+    )
+    chain = []
+    for count in range(1, len(longest.interests)):
+        spec = object.__new__(TargetingSpec)
+        for spec_field in fields(TargetingSpec):
+            object.__setattr__(spec, spec_field.name, getattr(longest, spec_field.name))
+        object.__setattr__(spec, "interests", longest.interests[:count])
+        chain.append(spec)
+    if longest.interests:
+        chain.append(longest)
+    return tuple(chain)
+
+
 def _ordered_rows(
     panel: FDVTPanel, strategy: SelectionStrategy, max_interests: int
 ) -> list[tuple[int, ...]]:
@@ -175,7 +223,7 @@ def batched_collect(
     matrix = np.full((len(rows), max_interests), np.nan)
     for index, row in enumerate(rows):
         if row:
-            specs = TargetingSpec.prefix_chain(row, locations=locations)
+            specs = prefix_chain(row, locations=locations)
             estimates = api.estimate_reach_batch(specs)
             matrix[index, : len(row)] = [e.potential_reach for e in estimates]
     return _samples(api, panel, matrix)
@@ -197,6 +245,38 @@ def scalar_collect(
             spec = TargetingSpec.for_interests(row[:n_interests], locations=locations)
             matrix[index, n_interests - 1] = api.estimate_reach(spec).potential_reach
     return _samples(api, panel, matrix)
+
+
+# -- bootstrap ---------------------------------------------------------------------
+
+
+def bootstrap_cutpoints_reference(
+    samples: AudienceSamples | StreamedAudienceSamples,
+    q_percents: Sequence[float],
+    *,
+    n_bootstrap: int,
+    seed: SeedLike,
+    chunk_size: int,
+) -> dict[float, np.ndarray]:
+    """``bootstrap_cutpoints`` as a gather, a sort and a full-width fit per chunk.
+
+    Draws the same resample index matrices chunk by chunk, gathers each
+    chunk's rows with ``take_rows``, takes every column's quantiles over
+    the sorted stack with ``masked_column_quantiles`` and fits all columns
+    of every replicate — no sorted columns, no early exit at the floor.
+    """
+    rng = as_generator(seed)
+    qs = [float(q) for q in q_percents]
+    results = {q: np.empty(n_bootstrap, dtype=float) for q in qs}
+    for start in range(0, n_bootstrap, chunk_size):
+        count = min(chunk_size, n_bootstrap - start)
+        indices = rng.integers(0, samples.n_users, size=(count, samples.n_users))
+        with np.errstate(all="ignore"):
+            vas_rows = masked_column_quantiles(samples.take_rows(indices), qs)
+        for q, rows in zip(qs, vas_rows):
+            fits = fit_vas_many(rows, samples.floor)
+            results[q][start : start + count] = fits.cutpoints
+    return results
 
 
 # -- generation --------------------------------------------------------------------

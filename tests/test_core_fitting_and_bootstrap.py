@@ -174,6 +174,18 @@ class TestBootstrapCutpoints:
         with pytest.raises(ModelError):
             bootstrap_cutpoints(samples, [50.0], n_bootstrap=0, seed=1)
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_rejected(self, samples, chunk_size):
+        with pytest.raises(ModelError, match="chunk_size must be >= 1"):
+            bootstrap_cutpoints(
+                samples, [50.0], n_bootstrap=10, seed=1, chunk_size=chunk_size
+            )
+
+    @pytest.mark.parametrize("q_percent", [0.0, 100.0, -5.0, 150.0])
+    def test_out_of_range_quantile_rejected(self, samples, q_percent):
+        with pytest.raises(ModelError, match=r"within \(0, 100\)"):
+            bootstrap_cutpoints(samples, [50.0, q_percent], n_bootstrap=10, seed=1)
+
     def test_deterministic_given_seed(self, samples):
         first = bootstrap_cutpoints(samples, [50.0], n_bootstrap=30, seed=9)
         second = bootstrap_cutpoints(samples, [50.0], n_bootstrap=30, seed=9)

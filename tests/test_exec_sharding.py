@@ -659,7 +659,7 @@ class TestShardedBootstrap:
 
 
 class TestFusedStreamedGather:
-    """StreamedAudienceSamples.take_rows: the single-take gather kernel."""
+    """StreamedAudienceSamples.take_rows: per-column reconstruction of dense rows."""
 
     @pytest.fixture(scope="class")
     def stores(self, simulation):
@@ -688,16 +688,9 @@ class TestFusedStreamedGather:
         assert np.array_equal(
             streamed.take_rows(everyone), dense.matrix, equal_nan=True
         )
-        # the cached table serves every subsequent gather
         assert np.array_equal(
             streamed.take_rows(everyone[::-1]), dense.matrix[::-1], equal_nan=True
         )
-
-    def test_gather_table_is_cached(self, stores):
-        _, streamed = stores
-        streamed.take_rows(np.array([0]))
-        first = streamed._gather_table()
-        assert streamed._gather_table() is first
 
 
 class TestShardedRiskReports:

@@ -20,6 +20,8 @@ from repro.config import PopulationConfig
 from repro.reach import country_codes
 from repro.simclock import SimClock
 
+import oracles
+
 
 class TestUniquenessToNanotargetingConsistency:
     """The Section 4 model predictions must be consistent with Section 5 outcomes."""
@@ -139,7 +141,7 @@ class TestBackendConsistency:
             assert matrix[index, : len(row)].tolist() == cells
         assert matrix_api.call_stats() == cell_api.call_stats()
 
-        chain = TargetingSpec.prefix_chain(interests[:10])
+        chain = oracles.prefix_chain(interests[:10])
         cell_api, batch_api = fresh_api(), fresh_api()
         batched = batch_api.estimate_reach_batch(chain)
         assert list(batched) == [cell_api.estimate_reach(spec) for spec in chain]

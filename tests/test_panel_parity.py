@@ -143,7 +143,7 @@ class TestEstimateReachMatrix:
             if count == 0:
                 assert np.isnan(values[row]).all()
                 continue
-            specs = TargetingSpec.prefix_chain(
+            specs = oracles.prefix_chain(
                 matrix[row, :count], locations=locations
             )
             estimates = api.estimate_reach_batch(specs)
@@ -228,7 +228,7 @@ class TestEstimateReachMatrix:
 
 class TestPrefixChainSpecs:
     def test_chain_matches_individual_constructors(self, id_pool):
-        chain = TargetingSpec.prefix_chain(id_pool[:6], locations=("US", "ES"))
+        chain = oracles.prefix_chain(id_pool[:6], locations=("US", "ES"))
         assert len(chain) == 6
         for k, spec in enumerate(chain, start=1):
             assert spec == TargetingSpec.for_interests(
@@ -237,8 +237,8 @@ class TestPrefixChainSpecs:
 
     def test_chain_validates_the_longest_spec(self, id_pool):
         with pytest.raises(TargetingValidationError):
-            TargetingSpec.prefix_chain([id_pool[0], id_pool[0]])
-        assert TargetingSpec.prefix_chain([]) == ()
+            oracles.prefix_chain([id_pool[0], id_pool[0]])
+        assert oracles.prefix_chain([]) == ()
 
 
 class TestCollectorThreeTierParity:
