@@ -288,7 +288,7 @@ class ArtifactCodec(Protocol):
 
     #: Artifact type tag, embedded in the header and checked on load.
     kind: str
-    #: Filename extension, e.g. ``"catalog.json"`` — the artifact for key
+    #: Filename extension, e.g. ``"catalog.npz"`` — the artifact for key
     #: ``k`` lives at ``<root>/objects/<k>.<extension>``.
     extension: str
 

@@ -5,6 +5,11 @@ configure audiences: according to the DSP operators consulted by the paper,
 fewer than 1% of campaigns combine more than 9 interests.  This generator
 produces a configurable workload of benign campaign specs with that shape so
 the revenue impact of the interest-cap rule can be quantified.
+
+Every campaign draws its interests from a pool of the catalog's most
+popular interests.  The pools of one :meth:`AdvertiserWorkloadGenerator.generate`
+call are prefixes of a single ``most_popular`` result, since a smaller
+``most_popular`` call returns a prefix of a larger one.
 """
 
 from __future__ import annotations
@@ -80,14 +85,20 @@ class AdvertiserWorkloadGenerator:
             np.arange(1, weights.size + 1), size=n_campaigns, p=weights
         )
         codes = country_codes()
+        # Benign advertisers target broadly popular interests: a campaign
+        # picks from the most popular max(200, 20 x its count) interests,
+        # a prefix of one most_popular call sized for the largest pool.
+        pool_sizes = np.minimum(
+            len(self._catalog), np.maximum(200, 20 * interest_counts)
+        )
+        pool_ids = []
+        if n_campaigns:
+            popular = self._catalog.most_popular(int(pool_sizes.max()))
+            pool_ids = [interest.interest_id for interest in popular]
         specs = []
-        for count in interest_counts:
-            # Benign advertisers target broadly popular interests.
-            popular = self._catalog.most_popular(
-                min(len(self._catalog), max(200, 20 * int(count)))
-            )
-            chosen = rng.choice(len(popular), size=int(count), replace=False)
-            interests = [popular[int(i)].interest_id for i in chosen]
+        for count, pool_size in zip(interest_counts, pool_sizes):
+            chosen = rng.choice(int(pool_size), size=int(count), replace=False)
+            interests = [pool_ids[int(i)] for i in chosen]
             if rng.random() < self._config.worldwide_fraction:
                 locations = None
             else:

@@ -11,6 +11,7 @@ single-interest audience.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..errors import CatalogError
 
@@ -62,13 +63,28 @@ class Interest:
 
     @staticmethod
     def from_dict(data: dict) -> "Interest":
-        """Rebuild an interest from :meth:`to_dict` output."""
+        """Rebuild an interest from :meth:`to_dict` output.
+
+        Ids and audience sizes must be integral: ``7``, ``7.0`` and ``"7"``
+        load as 7, while ``7.5`` and ``"abc"`` raise :class:`CatalogError`.
+        """
         try:
             return Interest(
-                interest_id=int(data["interest_id"]),
+                interest_id=_integral(data["interest_id"], "interest_id"),
                 name=str(data["name"]),
                 topic=str(data["topic"]),
-                audience_size=int(data["audience_size"]),
+                audience_size=_integral(data["audience_size"], "audience_size"),
             )
-        except KeyError as exc:  # pragma: no cover - defensive
+        except KeyError as exc:
             raise CatalogError(f"missing interest field: {exc}") from exc
+
+
+def _integral(value: Any, field: str) -> int:
+    """``int(value)``, or CatalogError when ``value`` is not a whole number."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CatalogError(f"{field} must be an integer, got {value!r}") from None
+    if not isinstance(value, str) and number != value:
+        raise CatalogError(f"{field} must be an integer, got {value!r}")
+    return number

@@ -87,8 +87,8 @@ class PopularityModel:
         """
         if not 0.0 < q < 1.0:
             raise ConfigurationError("q must lie in (0, 1)")
-        from scipy.stats import norm
+        from statistics import NormalDist
 
-        z = norm.ppf(q)
+        z = NormalDist().inv_cdf(q)
         value = 10 ** (np.log10(self.median_audience) + z * self.log10_sigma)
         return float(np.clip(value, self.min_audience, self.max_audience))

@@ -49,15 +49,20 @@ _LEAF_STEMS: tuple[str, ...] = (
 )
 
 
+def round_robin_topics(n_topics: int | None = None) -> tuple[str, ...]:
+    """The first ``n_topics`` topics (at least one, at most all of them)."""
+    return TOPICS if n_topics is None else TOPICS[: max(1, min(n_topics, len(TOPICS)))]
+
+
 def topic_for_index(index: int, n_topics: int | None = None) -> str:
     """Return the topic assigned to the ``index``-th interest.
 
-    Interests are spread round-robin over the first ``n_topics`` topics so
+    Interests are spread round-robin over :func:`round_robin_topics` so
     that every topic receives a comparable share of the catalog.
     """
     if index < 0:
         raise CatalogError("interest index must be non-negative")
-    topics = TOPICS if n_topics is None else TOPICS[: max(1, min(n_topics, len(TOPICS)))]
+    topics = round_robin_topics(n_topics)
     return topics[index % len(topics)]
 
 

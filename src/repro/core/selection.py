@@ -19,10 +19,11 @@ For panel-scale collection, :func:`ordered_interest_matrix_columns` reads
 a row range straight out of a
 :class:`~repro.population.columnar.PanelColumns` CSR store and resolves
 every row's ordered ids into one padded ``(n_rows, width)`` id matrix.
-The least-popular strategy orders all rows in a single global sort over
-id-indexed catalog popularity arrays; the random strategy shuffles each CSR
-row slice with the same per-user-id stream :meth:`RandomSelection.order_interests`
-derives; any other strategy falls back to its per-user ``order_interests``.
+The least-popular strategy orders all rows in a single global sort of one
+int64 key built from the catalog's popularity rank; the random strategy
+shuffles each CSR row slice with the same per-user-id stream
+:meth:`RandomSelection.order_interests` derives; any other strategy falls
+back to its per-user ``order_interests``.
 Every row is bit-identical to the per-user ordering either way.
 :func:`ordered_interest_matrix` is the same call for a sequence of user
 objects.
@@ -82,13 +83,13 @@ class LeastPopularSelection:
         """Vectorised ordering over rows ``[start, stop)`` of a CSR store.
 
         The flat id fragment and per-row lengths come straight off the CSR
-        arrays — no user objects.  Every id is resolved against the
-        catalog's id-indexed audience array with one ``searchsorted`` and
-        ordered with one global ``lexsort`` keyed ``(row, audience, id)`` —
-        the same ``(audience, id)`` ascending order the per-user tuple sort
-        of :meth:`order_interests` produces, so every row is bit-identical
-        to it.  Returns the padded id matrix and per-row counts (see
-        :func:`ordered_interest_matrix_columns` for the layout).
+        arrays — no user objects.  Every id is resolved to its catalog
+        position and ordered by row, then by the catalog's
+        ``popularity_rank`` — the same ``(audience, id)`` ascending order
+        the per-user tuple sort of :meth:`order_interests` produces, so
+        every row is bit-identical to it.  Returns the padded id matrix and
+        per-row counts (see :func:`ordered_interest_matrix_columns` for the
+        layout).
         """
         if max_interests < 1:
             raise ModelError("max_interests must be >= 1")
@@ -166,22 +167,17 @@ def _order_least_popular_flat(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Global least-popular sort of concatenated per-user id segments.
 
-    Resolve every id against the catalog's id-indexed audience array with
-    one ``searchsorted``, order with one ``lexsort`` keyed ``(row,
-    audience, id)``, and pack the leading ``max_interests`` of each
-    segment.
+    Resolve every id to its catalog position, sort one int64 key
+    ``row * n_interests + popularity_rank[position]`` and pack the leading
+    ``max_interests`` of each segment.  The rank is the catalog's
+    ``(audience, id)`` order, so within a row the key orders exactly as
+    the per-user tuple sort; two keys tie only for equal ids, so the sort
+    need not be stable.
     """
-    sorted_ids = catalog.interest_ids
-    positions = np.searchsorted(sorted_ids, flat_ids)
-    positions = np.minimum(positions, len(sorted_ids) - 1)
-    mismatched = sorted_ids[positions] != flat_ids
-    if mismatched.any():
-        # Defer to the scalar path's error for the first offending id.
-        catalog.get(int(flat_ids[np.argmax(mismatched)]))
-    flat_audiences = catalog.all_audience_sizes()[positions]
-    row_index = np.repeat(np.arange(len(full_counts)), full_counts)
-    order = np.lexsort((flat_ids, flat_audiences, row_index))
-    flat_sorted = flat_ids[order]
+    positions = catalog.positions(flat_ids)
+    row_index = np.repeat(np.arange(len(full_counts), dtype=np.int64), full_counts)
+    keys = row_index * len(catalog) + catalog.popularity_rank[positions]
+    flat_sorted = flat_ids[np.argsort(keys)]
     counts = np.minimum(full_counts, max_interests)
     return _pack_ordered_rows(flat_sorted, full_counts, counts)
 

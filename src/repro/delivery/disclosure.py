@@ -44,7 +44,7 @@ def build_disclosure(
     advertiser: str = "FDVT research team",
 ) -> AdDisclosure:
     """Build the disclosure a recipient of ``campaign``'s ad would see."""
-    names = tuple(catalog.get(i).name for i in campaign.spec.interests)
+    names = tuple(catalog.name_of(i) for i in campaign.spec.interests)
     return AdDisclosure(
         campaign_id=campaign.campaign_id,
         advertiser=advertiser,

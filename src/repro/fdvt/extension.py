@@ -163,16 +163,15 @@ class FDVTExtension:
         reaches = self._sharded_reach_matrix(
             id_matrix, counts, executor or ShardExecutor()
         )
-        audience_by_id = {
-            interest_id: int(reach)
+        # One entry per unique interest, shared by every report holding it
+        # (entries are frozen; ``deactivated`` returns a copy).
+        entry_by_id = {
+            interest_id: self._risk_entry(interest_id, int(reach))
             for interest_id, reach in zip(unique_ids, reaches[:, 0])
         }
         reports = []
         for user in users:
-            entries = [
-                self._risk_entry(interest_id, audience_by_id[interest_id])
-                for interest_id in user.interest_ids
-            ]
+            entries = [entry_by_id[interest_id] for interest_id in user.interest_ids]
             entries.sort(key=lambda entry: (entry.audience_size, entry.interest_id))
             reports.append(RiskReport(user_id=user.user_id, entries=tuple(entries)))
         return tuple(reports)
@@ -212,10 +211,9 @@ class FDVTExtension:
         return np.concatenate(blocks, axis=0)
 
     def _risk_entry(self, interest_id: int, audience: int) -> InterestRiskEntry:
-        interest = self._catalog.get(interest_id)
         return InterestRiskEntry(
             interest_id=interest_id,
-            name=interest.name,
+            name=self._catalog.name_of(interest_id),
             risk=self._thresholds.classify(audience),
             audience_size=audience,
         )

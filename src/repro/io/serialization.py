@@ -14,7 +14,7 @@ from typing import Any
 from ..catalog import InterestCatalog
 from ..core.nanotargeting import ExperimentReport
 from ..core.results import UniquenessReport
-from ..errors import ReproError
+from ..errors import CatalogError, ReproError
 from ..fdvt.panel import FDVTPanel
 
 
@@ -26,12 +26,15 @@ def _write_json(path: Path | str, payload: Any) -> Path:
     return path
 
 
-def _read_json(path: Path | str) -> Any:
+def _read_json(path: Path | str, what: str) -> Any:
     path = Path(path)
     if not path.exists():
         raise ReproError(f"no such file: {path}")
-    with path.open("r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ReproError(f"malformed {what} file: {path} ({exc})") from exc
 
 
 # -- catalog ---------------------------------------------------------------------
@@ -44,11 +47,11 @@ def save_catalog(catalog: InterestCatalog, path: Path | str) -> Path:
 
 def load_catalog(path: Path | str) -> InterestCatalog:
     """Load a catalog previously saved with :func:`save_catalog`."""
-    payload = _read_json(path)
+    payload = _read_json(path, "catalog")
     try:
         return InterestCatalog.from_dicts(payload["interests"])
-    except (KeyError, TypeError) as exc:
-        raise ReproError(f"malformed catalog file: {path}") from exc
+    except (KeyError, TypeError, CatalogError) as exc:
+        raise ReproError(f"malformed catalog file: {path} ({exc})") from exc
 
 
 # -- panel -------------------------------------------------------------------------
@@ -61,7 +64,7 @@ def save_panel(panel: FDVTPanel, path: Path | str) -> Path:
 
 def load_panel(path: Path | str, catalog: InterestCatalog) -> FDVTPanel:
     """Load a panel previously saved with :func:`save_panel`."""
-    payload = _read_json(path)
+    payload = _read_json(path, "panel")
     try:
         return FDVTPanel.from_dicts(payload["users"], catalog)
     except (KeyError, TypeError) as exc:

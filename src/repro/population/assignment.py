@@ -117,30 +117,22 @@ class InterestAssigner:
         self._default_bias = float(default_popularity_bias)
         self._topics = catalog.topics()
         self._topic_index = {topic: idx for idx, topic in enumerate(self._topics)}
-        self._topic_ids: list[np.ndarray] = []
-        self._topic_audiences: list[np.ndarray] = []
-        for topic in self._topics:
-            interests = catalog.by_topic(topic)
-            self._topic_ids.append(
-                np.array([interest.interest_id for interest in interests], dtype=np.int64)
-            )
-            self._topic_audiences.append(
-                np.array([interest.audience_size for interest in interests], dtype=float)
-            )
-        # Dense position space for the batched kernel: topics partition the
-        # catalog, so concatenating the per-topic id arrays gives every
-        # interest exactly one flat position (offset of its topic + local
-        # index), and dedup can run on a boolean mask instead of a set.
-        self._topic_sizes = np.array(
-            [ids.size for ids in self._topic_ids], dtype=np.int64
+        # Dense position space for the batched kernel: the catalog's topic
+        # CSR lists the taxonomy topics first (codes 0..len(topics) - 1),
+        # each in ascending id order, so its leading slots give every
+        # assignable interest exactly one flat position (offset of its
+        # topic + local index), and dedup can run on a boolean mask
+        # instead of a set.  The per-topic arrays are slices of it.
+        self._topic_offsets = catalog.topic_offsets[: len(self._topics) + 1]
+        self._topic_sizes = np.diff(self._topic_offsets)
+        flat_positions = catalog.topic_order[: self._topic_offsets[-1]]
+        self._flat_topic_ids = catalog.ids[flat_positions]
+        flat_audiences = catalog.audiences[flat_positions].astype(float)
+        bounds = list(
+            zip(self._topic_offsets[:-1].tolist(), self._topic_offsets[1:].tolist())
         )
-        self._topic_offsets = np.zeros(len(self._topics) + 1, dtype=np.int64)
-        np.cumsum(self._topic_sizes, out=self._topic_offsets[1:])
-        self._flat_topic_ids = (
-            np.concatenate(self._topic_ids)
-            if self._topic_ids
-            else np.zeros(0, dtype=np.int64)
-        )
+        self._topic_ids = [self._flat_topic_ids[a:b] for a, b in bounds]
+        self._topic_audiences = [flat_audiences[a:b] for a, b in bounds]
         self._max_topic_size = int(self._topic_sizes.max()) if self._topic_ids else 0
         self._search_iters = self._max_topic_size.bit_length()
         self._bias_cache: OrderedDict[float, _BiasTables] = OrderedDict()

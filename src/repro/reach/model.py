@@ -35,8 +35,9 @@ prefixes of one ordered interest list; the kernel takes a padded
 ``(n_users, width)`` matrix of such lists and computes every prefix of
 every row in one pass:
 
-* the catalog marginals and topic codes are id-indexed numpy arrays
-  (built once, looked up with a single ``searchsorted`` per call);
+* the marginals and topic codes are id-indexed arrays built with the
+  model from the catalog's columns, read at the positions of one
+  :meth:`~repro.catalog.InterestCatalog.positions` lookup per call;
 * the rarest-so-far interest comes from ``minimum.accumulate`` and the
   conditional-retention product from cumulative log-sums, both along the
   row axis, plus a ≤ 25-step column sweep for the per-topic boosts;
@@ -65,7 +66,7 @@ from .._rng import stable_hash
 from ..cache import BuildCache, catalog_stage_key, stable_fingerprint
 from ..catalog import DEFAULT_WORLD_POPULATION, InterestCatalog
 from ..config import CatalogConfig, ReachModelConfig
-from ..errors import ConfigurationError, UnknownInterestError
+from ..errors import ConfigurationError
 from .backend import ReachBackend
 from .countries import location_fraction, total_user_base
 from .jitter import (
@@ -84,8 +85,8 @@ class ReachModelSpec:
     """Everything needed to rebuild a :class:`StatisticalReachModel`.
 
     The sharded execution layer's process workers cannot cheaply ship a
-    live model (its catalog holds one object per interest); instead a shard
-    task carries this frozen, hashable spec and each worker rebuilds — and
+    live model (it carries the whole catalog); instead a shard task
+    carries this frozen, hashable spec and each worker rebuilds — and
     memoises — the model from config + seed.  Catalog generation and the
     jitter key are fully deterministic, so a rebuilt model returns
     bit-identical audiences to the original (pinned by
@@ -179,11 +180,14 @@ class StatisticalReachModel(ReachBackend):
         self._jitter_key = jitter_key(
             stable_hash(self._config.seed, "reach-jitter")
         )
-        # Id-indexed catalog arrays, built lazily on first use.
-        self._sorted_ids: np.ndarray | None = None
-        self._marginal_array: np.ndarray | None = None
-        self._topic_codes: np.ndarray | None = None
-        self._n_topic_codes: int = 0
+        # Marginal probability and topic code of every interest, in catalog
+        # (id) order.  The codes are widened to intp once here: the kernel
+        # indexes with them, and a narrower index array is re-cast on
+        # every indexing call.
+        self._marginals = np.minimum(
+            1.0, catalog.audiences.astype(float) / self._world
+        )
+        self._topic_codes = catalog.topic_codes.astype(np.intp)
         # Bounded memo of OR-query jitter factors.
         self._jitter_cache: dict[tuple[int, ...], float] = {}
 
@@ -219,8 +223,8 @@ class StatisticalReachModel(ReachBackend):
 
     def marginal_probability(self, interest_id: int) -> float:
         """Fraction of the world base holding ``interest_id``."""
-        position = self._positions(np.asarray([int(interest_id)], dtype=np.int64))
-        return float(self._marginal_array[position[0]])
+        position = self._catalog.positions([int(interest_id)])
+        return float(self._marginals[position[0]])
 
     def marginal_audience(
         self, interest_id: int, locations: Sequence[str] | None = None
@@ -235,7 +239,7 @@ class StatisticalReachModel(ReachBackend):
         ids = np.asarray([int(i) for i in interest_ids], dtype=np.int64)
         if ids.size == 0:
             return 0.0
-        probs = self._marginal_array[self._positions(ids)]
+        probs = self._marginals[self._catalog.positions(ids)]
         # cumprod keeps the reduction order identical for any padded batch
         # evaluation of the same combination.
         return float(1.0 - np.cumprod(1.0 - probs)[-1])
@@ -303,14 +307,13 @@ class StatisticalReachModel(ReachBackend):
             return result
         base = self.world_size(locations)
         valid = np.arange(width)[None, :] < counts[:, None]
-        self._ensure_catalog_arrays()
         # Padding cells are pointed at a real catalog entry so the gathers
         # stay in bounds; their values are garbage and masked out at the end
         # (every kernel stage is prefix-local, so right-hand padding can
         # never leak into a valid cell).
-        safe_ids = np.where(valid, ids, self._sorted_ids[0])
-        positions = self._positions(safe_ids)
-        probs = self._marginal_array[positions]
+        safe_ids = np.where(valid, ids, self._catalog.ids[0])
+        positions = self._catalog.positions(safe_ids)
+        probs = self._marginals[positions]
         topics = self._topic_codes[positions]
         intersections = self._prefix_probabilities_panel(probs, topics)
         jitters = lognormal_jitter(
@@ -324,37 +327,6 @@ class StatisticalReachModel(ReachBackend):
         return result
 
     # -- internals ------------------------------------------------------------
-
-    def _ensure_catalog_arrays(self) -> None:
-        if self._sorted_ids is not None:
-            return
-        sorted_ids = self._catalog.interest_ids
-        audiences = self._catalog.all_audience_sizes().astype(float)
-        marginal_array = np.minimum(1.0, audiences / self._world)
-        codes: dict[str, int] = {}
-        topic_codes = np.empty(len(sorted_ids), dtype=np.int64)
-        # Catalog iteration yields interests in ascending id order, matching
-        # the sorted id / audience arrays.
-        for index, interest in enumerate(self._catalog):
-            topic_codes[index] = codes.setdefault(interest.topic, len(codes))
-        # Publish the guard attribute (_sorted_ids) last: concurrent shard
-        # kernels on a thread runner may race into this builder, and under
-        # the GIL the worst case must be a redundant rebuild of identical
-        # arrays, never a half-initialised view.
-        self._marginal_array = marginal_array
-        self._topic_codes = topic_codes
-        self._n_topic_codes = len(codes)
-        self._sorted_ids = sorted_ids
-
-    def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """Positions of ``ids`` in the id-indexed catalog arrays."""
-        self._ensure_catalog_arrays()
-        positions = np.searchsorted(self._sorted_ids, ids)
-        positions = np.minimum(positions, len(self._sorted_ids) - 1)
-        mismatched = self._sorted_ids[positions] != ids
-        if mismatched.any():
-            raise UnknownInterestError(int(ids[mismatched][0]))
-        return positions
 
     def _prefix_probabilities_panel(
         self, probs: np.ndarray, topics: np.ndarray
@@ -391,7 +363,9 @@ class StatisticalReachModel(ReachBackend):
             total_log = np.cumsum(log_plain, axis=1)
             rows = np.arange(n_users)
             rarest_topic = topics[rows[:, None], rarest_index]
-            running = np.zeros((n_users, self._n_topic_codes), dtype=float)
+            running = np.zeros(
+                (n_users, len(self._catalog.topic_table)), dtype=float
+            )
             same_topic = np.empty_like(probs)
             for column in range(width):
                 running[rows, topics[:, column]] += log_boost_delta[:, column]

@@ -23,7 +23,13 @@ kept out of ``src/`` because nothing but the parity checks runs it:
   :mod:`repro.population.generation`;
 * :func:`reference_population` and :func:`reference_panel` — the builders
   as per-user loops that construct ``SyntheticUser`` objects, and
-  :func:`reference_build_panel`, the pipeline's panel stage on top of them.
+  :func:`reference_build_panel`, the pipeline's panel stage on top of them;
+* :class:`ObjectCatalog` — the interest catalog as a dict of ``Interest``
+  objects, re-sorted on every ``rarest``/``most_popular`` call and scanned
+  per topic; the columnar ``InterestCatalog`` is pinned against it;
+* :func:`least_popular_reference` — least-popular ordering of CSR rows as
+  one ``lexsort`` keyed ``(row, audience, id)``, the order the
+  popularity-rank key of ``repro.core.selection`` must reproduce.
 
 Importable from any test module (``import oracles``) and, with ``tests/``
 on ``sys.path``, from ``benchmarks/bench_perf_hot_paths.py``.
@@ -44,8 +50,14 @@ from repro._rng import (
     resolve_seed,
 )
 from repro.adsapi import AdsManagerAPI, TargetingSpec
-from repro.catalog import InterestCatalog
-from repro.config import ReproductionConfig
+from repro.catalog import (
+    DEFAULT_WORLD_POPULATION,
+    Interest,
+    InterestCatalog,
+    PopularityModel,
+)
+from repro.catalog.taxonomy import TOPICS, interest_name, topic_for_index
+from repro.config import CatalogConfig, ReproductionConfig
 from repro.core import (
     AudienceSamples,
     SelectionStrategy,
@@ -53,6 +65,7 @@ from repro.core import (
     fit_vas_many,
     masked_column_quantiles,
 )
+from repro.errors import CatalogError, UnknownInterestError
 from repro.fdvt import FDVTPanel, PanelBuilder
 from repro.fdvt.panel import _bias_table
 from repro.population import (
@@ -69,8 +82,136 @@ from repro.population import (
     sample_ages,
     sample_gender_index,
 )
+from repro.population.columnar import PanelColumns
 from repro.reach import StatisticalReachModel
 from repro.reach.jitter import lognormal_jitter, prefix_seeds
+
+# -- catalog -------------------------------------------------------------------------
+
+
+class ObjectCatalog:
+    """The interest catalog as one ``Interest`` object per id.
+
+    Every query walks or re-sorts the objects: ``rarest``/``most_popular``
+    argsort the audiences per call and ``topics``/``by_topic`` scan every
+    interest.
+    """
+
+    def __init__(self, interests: Sequence[Interest]) -> None:
+        self._interests: dict[int, Interest] = {}
+        for interest in interests:
+            if interest.interest_id in self._interests:
+                raise CatalogError(f"duplicate interest id: {interest.interest_id}")
+            self._interests[interest.interest_id] = interest
+        if not self._interests:
+            raise CatalogError("a catalog must contain at least one interest")
+        self._ids = np.array(sorted(self._interests), dtype=np.int64)
+        self._audiences = np.array(
+            [self._interests[i].audience_size for i in self._ids], dtype=np.int64
+        )
+
+    @staticmethod
+    def generate(config: CatalogConfig, *, seed: int) -> "ObjectCatalog":
+        """``InterestCatalog.generate`` building one object per interest."""
+        rng = derive_generator(seed, "catalog")
+        audiences = PopularityModel.from_config(config, DEFAULT_WORLD_POPULATION).sample(
+            config.n_interests, rng
+        )
+        interests = []
+        for index, audience in enumerate(audiences):
+            topic = topic_for_index(index, config.n_topics)
+            interests.append(
+                Interest(
+                    interest_id=index,
+                    name=interest_name(index, topic),
+                    topic=topic,
+                    audience_size=int(audience),
+                )
+            )
+        return ObjectCatalog(interests)
+
+    def __len__(self) -> int:
+        return len(self._interests)
+
+    def __iter__(self):
+        for interest_id in self._ids:
+            yield self._interests[int(interest_id)]
+
+    def __contains__(self, interest_id: object) -> bool:
+        return interest_id in self._interests
+
+    def get(self, interest_id: int) -> Interest:
+        try:
+            return self._interests[interest_id]
+        except KeyError:
+            raise UnknownInterestError(interest_id) from None
+
+    @property
+    def interest_ids(self) -> np.ndarray:
+        return self._ids.copy()
+
+    def audience_size(self, interest_id: int) -> int:
+        return self.get(interest_id).audience_size
+
+    def audience_sizes(self, interest_ids: Sequence[int]) -> np.ndarray:
+        return np.array(
+            [self.audience_size(int(i)) for i in interest_ids], dtype=np.int64
+        )
+
+    def all_audience_sizes(self) -> np.ndarray:
+        return self._audiences.copy()
+
+    def topics(self) -> tuple[str, ...]:
+        present = {interest.topic for interest in self}
+        return tuple(topic for topic in TOPICS if topic in present)
+
+    def by_topic(self, topic: str) -> tuple[Interest, ...]:
+        return tuple(interest for interest in self if interest.topic == topic)
+
+    def rarest(self, n: int) -> tuple[Interest, ...]:
+        order = np.argsort(self._audiences, kind="stable")[:n]
+        return tuple(self._interests[int(self._ids[i])] for i in order)
+
+    def most_popular(self, n: int) -> tuple[Interest, ...]:
+        order = np.argsort(self._audiences, kind="stable")[::-1][:n]
+        return tuple(self._interests[int(self._ids[i])] for i in order)
+
+    def to_dicts(self) -> list[dict]:
+        return [interest.to_dict() for interest in self]
+
+
+def least_popular_reference(
+    columns: PanelColumns,
+    catalog: InterestCatalog | ObjectCatalog,
+    max_interests: int,
+    start: int = 0,
+    stop: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-popular ``(id_matrix, counts)`` of CSR rows ``[start, stop)``.
+
+    One ``lexsort`` keyed ``(row, audience, id)`` over every occurrence,
+    then each row's leading ``max_interests`` ids, ``-1``-padded.
+    """
+    stop = len(columns) if stop is None else stop
+    flat_ids = columns.interest_ids[
+        columns.indptr[start] : columns.indptr[stop]
+    ].astype(np.int64)
+    full_counts = np.diff(columns.indptr[start : stop + 1])
+    sorted_ids = catalog.interest_ids
+    positions = np.minimum(np.searchsorted(sorted_ids, flat_ids), len(sorted_ids) - 1)
+    mismatched = sorted_ids[positions] != flat_ids
+    if mismatched.any():
+        catalog.get(int(flat_ids[np.argmax(mismatched)]))
+    flat_audiences = catalog.all_audience_sizes()[positions]
+    row_index = np.repeat(np.arange(len(full_counts)), full_counts)
+    flat_sorted = flat_ids[np.lexsort((flat_ids, flat_audiences, row_index))]
+    counts = np.minimum(full_counts, max_interests)
+    matrix = np.full((len(counts), int(counts.max(initial=0))), -1, dtype=np.int64)
+    segment_starts = np.concatenate(([0], np.cumsum(full_counts)[:-1]))
+    for row, (begin, count) in enumerate(zip(segment_starts, counts)):
+        matrix[row, :count] = flat_sorted[begin : begin + count]
+    return matrix, counts
+
 
 # -- reach kernel ------------------------------------------------------------------
 
@@ -90,9 +231,11 @@ def prefix_audiences(
     if ids.size == 0:
         return np.empty(0, dtype=float)
     base = model.world_size(locations)
-    positions = model._positions(ids)
-    probs = model._marginal_array[positions]
-    intersections = _prefix_probabilities(model, probs, model._topic_codes[positions])
+    catalog = model.catalog
+    positions = catalog.positions(ids)
+    audiences = catalog.audiences[positions].astype(float)
+    probs = np.minimum(1.0, audiences / model.world_size())
+    intersections = _prefix_probabilities(model, probs, catalog.topic_codes[positions])
     jitters = lognormal_jitter(
         prefix_seeds(ids, model._jitter_key), model.config.jitter_log10_sigma
     )

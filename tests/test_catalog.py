@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,21 @@ class TestInterest:
     def test_round_trip_serialisation(self):
         interest = Interest(7, "Vintage cameras", "Hobbies and activities", 12_345)
         assert Interest.from_dict(interest.to_dict()) == interest
+
+    def test_from_dict_accepts_integral_values_only(self):
+        record = {"interest_id": 7, "name": "x", "topic": "People", "audience_size": 50}
+        assert Interest.from_dict({**record, "interest_id": 7.0}).interest_id == 7
+        assert Interest.from_dict({**record, "audience_size": "50"}).audience_size == 50
+        for field, bad in [
+            ("interest_id", 1.7),
+            ("interest_id", "abc"),
+            ("interest_id", None),
+            ("audience_size", 2.5),
+            ("audience_size", float("inf")),
+            ("audience_size", float("nan")),
+        ]:
+            with pytest.raises(CatalogError, match=f"{field} must be an integer"):
+                Interest.from_dict({**record, field: bad})
 
 
 class TestTaxonomy:
@@ -172,6 +192,13 @@ class TestInterestCatalog:
     def test_sample_ids_with_weights_validation(self, tiny_catalog):
         with pytest.raises(CatalogError):
             tiny_catalog.sample_ids(5, seed=1, weights=np.ones(3))
+        for bad in (-1.0, np.nan, np.inf):
+            weights = np.ones(len(tiny_catalog))
+            weights[3] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CatalogError, match="finite and non-negative"):
+                    tiny_catalog.sample_ids(5, seed=1, weights=weights)
 
     def test_duplicate_ids_rejected(self):
         interest = Interest(1, "a", "Music", 10)
@@ -208,3 +235,94 @@ class TestFullScaleCatalogCalibration:
     def test_contains_rare_interests(self, full_catalog):
         rarest = full_catalog.rarest(10)
         assert rarest[0].audience_size < 5_000
+
+
+class TestColumns:
+    """``InterestCatalog.from_columns``: validation and canonical topic order."""
+
+    COLUMNS = dict(
+        ids=[2, 5, 9, 11],
+        audiences=[50, 20, 50, 7],
+        topic_codes=[2, 0, 1, 3],
+        topic_table=("Zeta", "Music", "Alpha", "People", "Unused"),
+        names=["a", "b", "c", "d"],
+    )
+
+    def build(self, **changes):
+        return InterestCatalog.from_columns(**{**self.COLUMNS, **changes})
+
+    def test_topic_table_is_renumbered_canonically(self):
+        catalog = self.build()
+        # Taxonomy topics in TOPICS order, then the rest by first
+        # appearance in id order; the unused entry is dropped.
+        assert catalog.topic_table == ("People", "Music", "Alpha", "Zeta")
+        assert catalog.topics() == ("People", "Music")
+        assert catalog.topic_codes.tolist() == [2, 3, 1, 0]
+        assert [i.interest_id for i in catalog.by_topic("Alpha")] == [2]
+        assert catalog.by_topic("Unused") == ()
+        assert catalog.get(5) == Interest(5, "b", "Zeta", 20)
+
+    def test_columns_are_read_only(self):
+        catalog = self.build()
+        for column in (catalog.ids, catalog.audiences, catalog.topic_codes):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert catalog.interest_ids.flags.writeable
+        assert catalog.all_audience_sizes().flags.writeable
+
+    def test_concurrent_first_gets_build_equal_objects(self):
+        # Objects are memoised without a lock: racing first gets may build
+        # one object twice, but every caller must see an equal, complete one.
+        catalog = InterestCatalog.generate(CatalogConfig(n_interests=2_000, seed=3))
+        ids = catalog.interest_ids.tolist()
+        results: list = [None] * 8
+
+        def fetch(slot: int) -> None:
+            results[slot] = [catalog.get(i).to_dict() for i in ids]
+
+        threads = [threading.Thread(target=fetch, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == catalog.to_dicts() for result in results)
+        assert [interest.to_dict() for interest in catalog] == catalog.to_dicts()
+
+    def test_pickle_round_trip_keeps_content_and_read_only_columns(self):
+        catalog = self.build()
+        restored = pickle.loads(pickle.dumps(catalog))
+        assert restored.to_dicts() == catalog.to_dicts()
+        assert restored.topic_table == catalog.topic_table
+        assert not restored.ids.flags.writeable
+        assert not restored.popularity_rank.flags.writeable
+
+    def test_popularity_rank_orders_audience_then_id(self):
+        assert self.build().popularity_rank.tolist() == [2, 1, 3, 0]
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"ids": [2, 2, 9, 11]},
+            {"ids": [5, 2, 9, 11]},
+            {"ids": [-1, 5, 9, 11]},
+            {"ids": [2.0, 5.0, 9.0, 11.0]},
+            {"audiences": [50, -20, 50, 7]},
+            {"audiences": [50, 20, 50]},
+            {"names": ["a", "", "c", "d"]},
+            {"names": ["a", "b", "c", 4]},
+            {"topic_codes": [2, 0, 1, 5]},
+            {"topic_codes": [2, 0, -1, 3]},
+            {"topic_table": ("Zeta", "Music", "Zeta", "People")},
+            {"topic_table": ("Zeta", "Music", "", "People")},
+            {"ids": [], "audiences": [], "topic_codes": [], "names": []},
+        ],
+    )
+    def test_invalid_columns_are_rejected(self, changes):
+        with pytest.raises(CatalogError):
+            self.build(**changes)

@@ -2,11 +2,12 @@
 
 Pins the disk-tier contract of :mod:`repro.cache` / :mod:`repro.io.artifacts`:
 
-* **round-trips are exact** — catalog JSON and panel ``.npz`` artifacts
+* **round-trips are exact** — catalog and panel ``.npz`` artifacts
   decode dtype- and content-identical to what was encoded;
 * **integrity failures rebuild** — corrupted, truncated, wrong-version or
   wrong-kind artifacts are misses: the builder runs, the bad file is
-  republished, and nothing corrupt ever reaches a caller;
+  republished, and nothing corrupt ever reaches a caller; catalogs left
+  in the old ``.catalog.json`` format are never opened;
 * **publication is atomic** — concurrent publishers of one key both
   succeed and readers never observe a partial artifact;
 * **degradation is graceful** — an unusable root warns once and falls
@@ -20,11 +21,13 @@ Pins the disk-tier contract of :mod:`repro.cache` / :mod:`repro.io.artifacts`:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import build_simulation, quick_config
@@ -67,6 +70,18 @@ def build_stages(cache: BuildCache):
     catalog = build_catalog(config, seed=17, cache=cache)
     panel = build_panel(config, seed=17, catalog=catalog, cache=cache)
     return catalog, panel
+
+
+def rewrite_archive(path, *, header=None, **arrays) -> None:
+    """Rewrite an ``.npz`` artifact with header fields or arrays replaced."""
+    with np.load(path, allow_pickle=False) as data:
+        entries = {name: data[name] for name in data.files}
+    document = json.loads(str(entries["header"][()]))
+    document.update(header or {})
+    entries["header"] = np.array(json.dumps(document))
+    entries.update(arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **entries)
 
 
 @pytest.fixture
@@ -154,30 +169,60 @@ class TestIntegrity:
         path = warmed_disk.path_for(
             catalog_fingerprint(small_config(), 17), CATALOG_CODEC
         )
-        document = json.loads(path.read_text())
-        document["format_version"] = ARTIFACT_FORMAT_VERSION + 1
-        path.write_text(json.dumps(document))
+        rewrite_archive(path, header={"format_version": ARTIFACT_FORMAT_VERSION + 1})
         self._rebuilds_cleanly(warmed_disk)
 
     def test_tampered_payload_fails_the_digest(self, tmp_path):
         catalog, _ = build_stages(BuildCache())
-        path = tmp_path / "artifact.catalog.json"
+        path = tmp_path / "artifact.catalog.npz"
         CATALOG_CODEC.encode(catalog, path)
-        document = json.loads(path.read_text())
-        document["payload"]["interests"][0]["audience_size"] = 1
-        path.write_text(json.dumps(document))
+        audiences = catalog.audiences.copy()
+        audiences[0] += 1
+        rewrite_archive(path, audiences=audiences)
         with pytest.raises(ArtifactError, match="digest mismatch"):
             CATALOG_CODEC.decode(path)
 
     def test_wrong_kind_is_rejected(self, tmp_path):
         catalog, panel = build_stages(BuildCache())
-        path = tmp_path / "artifact.catalog.json"
+        path = tmp_path / "artifact.catalog.npz"
         CATALOG_CODEC.encode(catalog, path)
-        document = json.loads(path.read_text())
-        document["kind"] = "panel"
-        path.write_text(json.dumps(document))
+        rewrite_archive(path, header={"kind": "panel"})
         with pytest.raises(ArtifactError, match="kind mismatch"):
             CATALOG_CODEC.decode(path)
+
+    def test_old_json_catalog_entry_misses_and_publishes_npz(self, tmp_path):
+        # A catalog published in the old JSON layout, valid under the old
+        # codec's own digest, but holding a different catalog: if anything
+        # loaded it, the build below would not match the reference.
+        reference, reference_panel = build_stages(BuildCache())
+        disk = DiskCache(tmp_path / "cache")
+        key = catalog_fingerprint(small_config(), 17)
+        records = reference.to_dicts()
+        records[0]["audience_size"] += 1
+        payload = {"interests": records}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        old_path = disk.objects_dir / f"{key}.catalog.json"
+        old_path.parent.mkdir(parents=True)
+        old_path.write_text(
+            json.dumps(
+                {
+                    "format_version": ARTIFACT_FORMAT_VERSION,
+                    "kind": "catalog",
+                    "digest": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+                    "payload": payload,
+                }
+            )
+        )
+        cache = BuildCache(disk=disk)
+        catalog, panel = build_stages(cache)
+        info = cache.cache_info()
+        assert (info.misses, info.disk_hits, info.disk_load_errors) == (2, 0, 0)
+        assert catalog.to_dicts() == reference.to_dicts()
+        assert panel.columns.content_equals(reference_panel.columns)
+        published = disk.path_for(key, CATALOG_CODEC)
+        assert published.name == f"{key}.catalog.npz"
+        assert CATALOG_CODEC.decode(published).to_dicts() == reference.to_dicts()
+        assert json.loads(old_path.read_text())["payload"] == payload
 
     def test_absent_artifact_is_a_miss_not_an_error(self, tmp_path):
         cache = BuildCache(disk=DiskCache(tmp_path / "cache"))

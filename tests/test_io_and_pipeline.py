@@ -25,6 +25,10 @@ from repro.reach import country_codes
 from repro.simclock import SimClock
 
 
+#: One valid catalog record, for building malformed variants.
+RECORD = {"interest_id": 1, "name": "x", "topic": "People", "audience_size": 5}
+
+
 class TestCatalogSerialisation:
     def test_round_trip(self, tiny_catalog, tmp_path):
         path = save_catalog(tiny_catalog, tmp_path / "catalog.json")
@@ -41,6 +45,22 @@ class TestCatalogSerialisation:
         with pytest.raises(ReproError):
             load_catalog(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "not json at all",
+            json.dumps({"interests": [{**RECORD, "interest_id": "abc"}]}),
+            json.dumps({"interests": [{**RECORD, "interest_id": 1.7}]}),
+            json.dumps({"interests": [{**RECORD, "audience_size": 5.5}]}),
+        ],
+        ids=["not-json", "text-id", "fractional-id", "fractional-audience"],
+    )
+    def test_unreadable_catalog_is_a_malformed_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        with pytest.raises(ReproError, match="malformed catalog file"):
+            load_catalog(path)
+
 
 class TestPanelSerialisation:
     def test_round_trip(self, tiny_panel, tiny_catalog, tmp_path):
@@ -52,6 +72,12 @@ class TestPanelSerialisation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"wrong": 1}))
         with pytest.raises(ReproError):
+            load_panel(path, tiny_catalog)
+
+    def test_non_json_panel_is_a_malformed_file(self, tiny_catalog, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe not json")
+        with pytest.raises(ReproError, match="malformed panel file"):
             load_panel(path, tiny_catalog)
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adsapi import AdsManagerAPI, TargetingSpec
 from repro.catalog import InterestCatalog
-from repro.config import CatalogConfig, ReachModelConfig
+from repro.config import CatalogConfig, PlatformConfig, ReachModelConfig
 from repro.errors import ConfigurationError
 from repro.reach import ReachBackend, StatisticalReachModel, total_user_base
 
@@ -108,6 +109,22 @@ class TestIntersections:
         largest = max(model.marginal_audience(i) for i in ids)
         assert union >= largest * 0.5
         assert union >= model.audience_for(ids, combine="and")
+
+    def test_union_probability_as_the_first_query_of_a_fresh_model(self):
+        catalog = InterestCatalog.generate(CatalogConfig(n_interests=50, seed=3))
+        fresh = StatisticalReachModel(catalog, ReachModelConfig(seed=3))
+        probability = fresh.union_probability([1, 2, 3])
+        marginals = [fresh.marginal_probability(i) for i in (1, 2, 3)]
+        assert max(marginals) <= probability <= sum(marginals)
+
+    def test_or_estimate_as_the_first_query_of_a_fresh_api(self):
+        catalog = InterestCatalog.generate(CatalogConfig(n_interests=50, seed=3))
+        api = AdsManagerAPI(
+            StatisticalReachModel(catalog, ReachModelConfig(seed=3)),
+            platform=PlatformConfig(reach_floor=1),
+        )
+        spec = TargetingSpec.for_interests([1, 2, 3], combine="or")
+        assert api.estimate_reach(spec).potential_reach > 0
 
     def test_unknown_combine_mode_rejected(self, model):
         ids = [next(iter(model.catalog)).interest_id]
