@@ -41,7 +41,7 @@ from .reachestimate import (
     pad_id_rows,
 )
 from .targeting import TargetingSpec
-from .validation import validate_spec
+from .validation import resolve_locations, validate_interest_matrix, validate_spec
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,7 +248,9 @@ class AdsManagerAPI:
         :class:`ReachEstimate` objects are materialised; validation
         (interest cap, non-negative dup-free rows, one shared location
         list), reporting-floor clipping and rate-limit accounting all run
-        vectorised over the matrix.
+        vectorised over the matrix.  The call is
+        :meth:`validate_reach_matrix` followed by
+        :meth:`serve_reach_matrix`.
 
         Every cell consumes one rate-limit token, exactly like the
         per-spec paths, and increments ``call_stats().reach_estimates``.
@@ -263,9 +265,26 @@ class AdsManagerAPI:
         ids, counts, locations = self.validate_reach_matrix(
             id_matrix, counts, locations=locations
         )
+        return self.serve_reach_matrix(ids, counts, locations)
+
+    def serve_reach_matrix(
+        self,
+        id_matrix: np.ndarray,
+        counts: np.ndarray,
+        locations: tuple[str, ...] | None,
+    ) -> np.ndarray:
+        """The billed half of :meth:`estimate_reach_matrix`, for checked inputs.
+
+        The inputs must satisfy every rule of :meth:`validate_reach_matrix`
+        and be in the normalised form it returns.  Only the account state,
+        which can change after a check, is checked again, before any token
+        is spent; then one bill is settled, the values are computed and
+        the call is recorded.
+        """
+        self._account.ensure_active()
         bill = self.reach_matrix_bill(counts)
         self.settle_reach_bill(bill)
-        values = self.compute_reach_matrix(ids, counts, locations)
+        values = self.compute_reach_matrix(id_matrix, counts, locations)
         self.record_reach_bill(bill)
         return values
 
@@ -288,8 +307,11 @@ class AdsManagerAPI:
 
         Returns the normalised ``(id_matrix, counts, locations)`` triple
         (int64 arrays, effective location tuple with worldwide resolved to
-        ``None``) ready for :meth:`compute_reach_matrix`.  Validation is
-        row-local, so validating shard blocks separately accepts and
+        ``None``) ready for :meth:`compute_reach_matrix`.  The checks run in
+        this order: matrix shape, account state, the shared location list,
+        then the interest-row rules of
+        :func:`~repro.adsapi.validation.validate_interest_matrix`.  Validation
+        is row-local, so validating shard blocks separately accepts and
         rejects exactly the same inputs as one whole-matrix call.
         """
         ids = np.asarray(id_matrix, dtype=np.int64)
@@ -306,26 +328,9 @@ class AdsManagerAPI:
             raise TargetingValidationError("counts must lie in [0, id_matrix width]")
         self._account.ensure_active()
         # One location list is shared by the whole matrix: validate it once
-        # through the standard spec checks instead of once per cell, and
-        # resolve it exactly like the per-spec paths (empty/worldwide
-        # location lists reach the backend as None).
-        probe = TargetingSpec.for_interests((), locations=locations)
-        validate_spec(probe, self._platform)
-        locations = probe.effective_locations()
-        if counts.size and int(counts.max()) > self._platform.max_interests_per_audience:
-            raise TargetingValidationError(
-                f"at most {self._platform.max_interests_per_audience} interests are "
-                f"allowed in an audience, got {int(counts.max())}"
-            )
-        valid = np.arange(ids.shape[1])[None, :] < counts[:, None]
-        work = np.where(valid, ids, -1)
-        if (work[valid] < 0).any():
-            raise TargetingValidationError("interest ids must be non-negative")
-        # Duplicate ids inside a row prefix would make the prefix family
-        # ill-formed; padding (-1) compares equal only to itself.
-        sorted_rows = np.sort(work, axis=1)
-        if ((sorted_rows[:, 1:] == sorted_rows[:, :-1]) & (sorted_rows[:, 1:] >= 0)).any():
-            raise TargetingValidationError("interests must not contain duplicates")
+        # instead of once per cell (empty/worldwide lists become None).
+        locations = resolve_locations(locations, self._platform)
+        validate_interest_matrix(ids, counts, self._platform)
         return ids, counts, locations
 
     def reach_matrix_bill(self, counts: Sequence[int] | np.ndarray) -> CallBill:

@@ -197,6 +197,8 @@ class InterestCatalog:
         codes = renumber[codes].astype(np.min_scalar_type(len(table) - 1))
 
         self._ids = _read_only(ids)
+        # Strictly increasing non-negative ids end at n - 1 only when dense.
+        self._dense = bool(ids[-1] == n - 1)
         self._audiences = _read_only(audiences)
         self._topic_codes = _read_only(codes)
         self._topic_table = table
@@ -271,9 +273,19 @@ class InterestCatalog:
         """Positions of ``interest_ids`` (any shape) in the id-sorted columns.
 
         Raises :class:`UnknownInterestError` for the first id, in C order,
-        that the catalog does not hold.
+        that the catalog does not hold.  When the ids are exactly
+        ``0..n-1`` (every generated catalog) an id is its own position, so
+        one range check replaces the search and the result is the argument
+        as int64 — it may share memory with ``interest_ids``; callers only
+        read it.  Sparse catalogs search the sorted ids.
         """
         ids = np.asarray(interest_ids, dtype=np.int64)
+        if self._dense:
+            # Negative ids wrap to huge unsigned values: one pass flags both.
+            outside = ids.view(np.uint64) >= self._ids.size
+            if outside.any():
+                raise UnknownInterestError(int(ids[outside][0]))
+            return ids
         positions = np.minimum(np.searchsorted(self._ids, ids), self._ids.size - 1)
         mismatched = self._ids[positions] != ids
         if mismatched.any():

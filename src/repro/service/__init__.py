@@ -1,11 +1,11 @@
 """Always-on reach service: admission, deadlines, shedding, degradation.
 
 The traffic-facing subsystem over the warm simulation: a deterministic
-virtual-time event loop (:class:`ReachService`) that admits per-tenant
-reach queries through token buckets and circuit breakers, queues them
-with deadlines in a bounded per-tenant-fair queue, coalesces each tick's
-batch into one bulk ``estimate_reach_matrix`` call with one merged bill,
-and sheds overload with typed responses instead of waiting.  See
+virtual-time event loop (:class:`ReachService`) that checks each
+per-tenant reach query once, admits it through token buckets and circuit
+breakers, queues it with a deadline in a bounded per-tenant-fair queue,
+coalesces each tick's batch into one bulk call with one merged bill, and
+sheds overload with typed responses instead of waiting.  See
 :mod:`repro.service.loop` for the full overload policy.
 """
 

@@ -2,14 +2,18 @@
 
 Each service tick folds every popped request into a single padded
 ``(n_requests, max_prefix)`` id matrix and serves it with one
-:meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix` call, which
-validates the matrix, settles one merged :class:`~repro.adsapi.CallBill`,
-runs the prefix kernel and records the bill.  Because the kernel is
-row-local, row ``r`` of the coalesced matrix is bit-identical to a direct
-one-request ``estimate_reach_matrix`` call for the same interests — the
-service's parity contract — and because the bill is settled once per
-tick, billing stays exactly-once no matter how many tenants share the
-batch or how many retries preceded it.
+:meth:`~repro.adsapi.AdsManagerAPI.serve_reach_matrix` call, which
+re-checks the account state, settles one merged
+:class:`~repro.adsapi.CallBill`, runs the prefix kernel and records the
+bill.  The requests must have passed the service's admission, which
+checks every other rule once per request (see :mod:`repro.service.loop`);
+a request and the service's location list are frozen, so those verdicts
+still hold at the tick.  Because the kernel is row-local, row ``r`` of the
+coalesced matrix is bit-identical to a direct one-request
+``estimate_reach_matrix`` call for the same interests — the service's
+parity contract — and because the bill is settled once per tick, billing
+stays exactly-once no matter how many tenants share the batch or how many
+retries preceded it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,16 @@ def coalesce_reach(
     api: "AdsManagerAPI",
     requests: Sequence["ReachRequest"],
     *,
-    locations: Sequence[str] | None = None,
+    locations: tuple[str, ...] | None = None,
 ) -> list[tuple[float, ...]]:
-    """Serve ``requests`` as one bulk call; one value tuple per request.
+    """Serve admitted ``requests`` as one bulk call; one value tuple per request.
+
+    Precondition: every request passed the service's admission checks,
+    and ``locations`` is the resolved location tuple
+    (:func:`~repro.adsapi.validation.resolve_locations`; ``None`` is
+    worldwide).  Only the account state is checked here: a suspended
+    account raises :class:`~repro.errors.AccountSuspendedError` before any
+    token is billed.
 
     The returned tuple for request ``r`` holds the Potential Reach of
     each prefix of ``r.interests``, bit-identical to a direct
@@ -43,10 +54,10 @@ def coalesce_reach(
     if not requests:
         return []
     ids, counts = pad_id_rows([request.interests for request in requests])
-    matrix = api.estimate_reach_matrix(ids, counts, locations=locations)
+    matrix = api.serve_reach_matrix(ids, counts, locations)
     return [
-        tuple(float(v) for v in matrix[row, : request.cost])
-        for row, request in enumerate(requests)
+        tuple(row[: request.cost])
+        for row, request in zip(matrix.tolist(), requests)
     ]
 
 

@@ -4,15 +4,21 @@
 workload from a warm :class:`~repro.pipeline.Simulation` without ever
 queueing unboundedly.  The request path, in order:
 
-1. **Admission** (:meth:`ReachService.submit`) — the request is validated
-   row-locally (``invalid``), checked against the tenant's circuit
-   breaker (``circuit_open``), charged to the tenant's per-account
-   :class:`~repro.adsapi.ratelimit.TokenBucket` at one token per prefix
-   cell (``throttled``), and finally placed in the bounded
-   :class:`~repro.service.queue.PendingQueue` — or shed ``overloaded``
-   when the queue bound is hit.  Every rejection is an immediate typed
-   :class:`~repro.service.responses.ReachResponse` with a
-   ``retry_after_seconds`` hint where one exists; admission returns
+1. **Admission** (:meth:`ReachService.submit`) — the request is checked
+   once, in full (``invalid``): the service's own limits (non-empty, at
+   most one tick's batch budget and one tenant burst), then, in the bulk
+   endpoint's order and with its messages, the account state, the
+   location list (resolved once, when the service is built), the
+   interest-row rules of :mod:`repro.adsapi.validation`, and finally
+   catalog membership, so an unknown id is rejected here rather than
+   failing the tick that would batch it.  The request is then checked
+   against the tenant's circuit breaker (``circuit_open``), charged to
+   the tenant's per-account :class:`~repro.adsapi.ratelimit.TokenBucket`
+   at one token per prefix cell (``throttled``), and finally placed in
+   the bounded :class:`~repro.service.queue.PendingQueue` — or shed
+   ``overloaded`` when the queue bound is hit.  Every rejection is an
+   immediate typed :class:`~repro.service.responses.ReachResponse` with
+   a ``retry_after_seconds`` hint where one exists; admission returns
    ``None`` and the answer arrives from a later tick.
 
 2. **Ticks** (:meth:`ReachService.tick`) — the virtual clock advances one
@@ -24,18 +30,22 @@ queueing unboundedly.  The request path, in order:
    retry budget is exhausted — tripping the tenant's breaker on the way),
    slow faults add virtual latency that can itself blow the deadline
    *before* any token is billed.  Surviving entries are folded into one
-   bulk ``estimate_reach_matrix`` call with one merged bill
-   (:mod:`~repro.service.coalescer`), so billing is exactly-once per
-   tick and every admitted answer is bit-identical to a direct call.
+   bulk call with one merged bill (:mod:`~repro.service.coalescer`), so
+   billing is exactly-once per tick and every admitted answer is
+   bit-identical to a direct call.  Requests are frozen, so the tick
+   re-checks only what can change after admission, the account state: if
+   the account was suspended in between, every popped entry is answered
+   ``failed`` with the suspension message, before any token is billed
+   and without charging a breaker (the fault is the account's).
 
 **What is shed, when, and what the client sees** — the overload policy in
 one table: queue full at admission → ``overloaded`` (retry after one
 tick); tenant bucket empty → ``throttled`` (retry when tokens refill);
 breaker open → ``circuit_open`` (retry after the cooldown); deadline
 passed while queued, or backoff/slow-fault latency would pass it →
-``deadline_exceeded``; retry budget exhausted against faults →
-``failed``.  Admitted requests are never silently dropped: every
-submission produces exactly one response.
+``deadline_exceeded``; retry budget exhausted against faults, or the
+account suspended after admission → ``failed``.  Admitted requests are
+never silently dropped: every submission produces exactly one response.
 
 Two clocks, deliberately: the *service* clock (deadlines, backoff,
 breaker cooldowns) is the injected virtual clock that tests and soaks
@@ -54,15 +64,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from ..adsapi import AdsManagerAPI
 from ..adsapi.ratelimit import TokenBucket
+from ..adsapi.validation import resolve_locations, validate_interest_row
 from ..errors import (
+    AccountSuspendedError,
     AdsApiError,
     ConfigurationError,
     InjectedFaultError,
+    TargetingValidationError,
     TransientApiError,
+    UnknownInterestError,
 )
 from ..faults import FaultPlan, RetryPolicy, ambient_chaos
 from ..simclock import SimClock
@@ -153,7 +165,12 @@ class ServiceStats:
 
 
 class ReachService:
-    """A long-lived coalescing front end over one warm Ads API."""
+    """A long-lived coalescing front end over one warm Ads API.
+
+    The API's backend must carry an interest ``catalog`` (a
+    :class:`~repro.reach.StatisticalReachModel` does): admission checks
+    every requested id against it.
+    """
 
     def __init__(
         self,
@@ -167,6 +184,20 @@ class ReachService:
         self._api = api
         self._config = config or ServiceConfig()
         self._clock = clock or SimClock()
+        self._catalog = getattr(api.backend, "catalog", None)
+        if self._catalog is None:
+            raise ConfigurationError(
+                "the reach service needs a backend with an interest catalog "
+                f"to admit requests against, got {type(api.backend).__name__}"
+            )
+        # The location list and the platform are frozen: one verdict serves
+        # every request.
+        self._locations: tuple[str, ...] | None = None
+        self._location_error: str | None = None
+        try:
+            self._locations = resolve_locations(self._config.locations, api.platform)
+        except TargetingValidationError as error:
+            self._location_error = str(error)
         if retry is None and faults is None:
             retry, faults = ambient_chaos()
         if faults is not None:
@@ -305,11 +336,20 @@ class ReachService:
             if survivor is not None:
                 batch.append(survivor)
         if batch:
-            values = coalesce_reach(
-                self._api,
-                [entry.request for entry in batch],
-                locations=self._config.locations,
-            )
+            try:
+                values = coalesce_reach(
+                    self._api,
+                    [entry.request for entry in batch],
+                    locations=self._locations,
+                )
+            except AccountSuspendedError as error:
+                # Suspended since admission: nothing was billed, and the
+                # fault is the account's, so no breaker is charged.
+                self._stats.failed += len(batch)
+                responses.extend(
+                    self._resolve(entry, "failed", str(error), now) for entry in batch
+                )
+                return responses
             self._stats.batches += 1
             for entry, row in zip(batch, values):
                 self._breaker(entry.request.tenant).record_success()
@@ -405,7 +445,7 @@ class ReachService:
         return entry
 
     def _validate(self, request: ReachRequest) -> str | None:
-        """Row-local validation at admission; the reason when invalid."""
+        """Every check a request gets, run once; the reason when invalid."""
         if request.cost == 0:
             return "a reach request needs at least one interest"
         if request.cost > self._config.max_batch_cells:
@@ -422,13 +462,15 @@ class ReachService:
                 f"capacity of {self._config.tenant_burst}"
             )
         try:
-            self._api.validate_reach_matrix(
-                np.asarray([request.interests], dtype=np.int64),
-                np.asarray([request.cost], dtype=np.int64),
-                locations=self._config.locations,
-            )
+            self._api.account.ensure_active()
+            if self._location_error is not None:
+                return self._location_error
+            validate_interest_row(request.interests, self._api.platform)
         except AdsApiError as error:
             return str(error)
+        for interest_id in request.interests:
+            if interest_id not in self._catalog:
+                return str(UnknownInterestError(interest_id))
         return None
 
     def _expire(self, entry: QueuedRequest, now: float, reason: str) -> ReachResponse:

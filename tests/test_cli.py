@@ -440,6 +440,30 @@ class TestServeCommand:
         assert a["summary"] == b["summary"]
         assert a["service"]["counters"] == b["service"]["counters"]
 
+    def test_a_foreign_trace_is_served_with_its_unknown_ids_rejected(
+        self, tmp_path, capsys
+    ):
+        # A trace drawn from a larger catalog names ids this one lacks:
+        # admission answers those requests invalid, the rest are served.
+        trace_file, output = tmp_path / "trace-f50.json", tmp_path / "replay.json"
+        assert main(
+            [
+                "serve", "--factor", "50", "--seed", "7", "--duration", "6",
+                "--rps", "4", "--tenants", "2", "--trace-out", str(trace_file),
+            ]
+        ) == 0
+        assert main(
+            [
+                "serve", *FACTOR, "--seed", "7", "--trace", str(trace_file),
+                "--verify-parity", "--output", str(output),
+            ]
+        ) == 0
+        assert "parity: all" in capsys.readouterr().out
+        payload = json.loads(output.read_text())
+        counts = payload["summary"]["status_counts"]
+        assert counts.get("invalid", 0) > 0 and counts.get("ok", 0) > 0
+        assert payload["parity_ok"] is True
+
     def test_service_errors_exit_4_with_one_line(self, capsys, monkeypatch):
         from repro.errors import OverloadedError
 

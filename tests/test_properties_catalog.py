@@ -199,3 +199,58 @@ def test_generate_matches_the_object_generator(n_interests, n_topics, seed):
     catalog = InterestCatalog.generate(config, seed=seed)
     reference = oracles.ObjectCatalog.generate(config, seed=seed)
     assert_same_catalog(catalog, reference)
+
+
+@SETTINGS
+@given(interest_lists(), st.data())
+def test_positions_match_the_id_index_or_name_the_first_unknown_id(interests, data):
+    catalog = InterestCatalog(interests)
+    ids = catalog.ids.tolist()
+    n = len(ids)
+    query_id = st.one_of(
+        st.sampled_from(ids),
+        st.integers(min_value=-3, max_value=-1),
+        st.integers(min_value=n, max_value=n + 3),
+        st.integers(min_value=0, max_value=ids[-1] + 3),
+    )
+    shape = (
+        data.draw(st.integers(min_value=0, max_value=3)),
+        data.draw(st.integers(min_value=0, max_value=4)),
+    )
+    size = shape[0] * shape[1]
+    values = data.draw(st.lists(query_id, min_size=size, max_size=size))
+    query = np.asarray(values, dtype=np.int64).reshape(shape)
+    index = {interest_id: position for position, interest_id in enumerate(ids)}
+    unknown = [interest_id for interest_id in values if interest_id not in index]
+    if unknown:
+        with pytest.raises(
+            UnknownInterestError, match=f"unknown interest id: {unknown[0]}$"
+        ):
+            catalog.positions(query)
+    else:
+        positions = catalog.positions(query)
+        assert positions.dtype == np.int64 and positions.shape == shape
+        assert positions.tolist() == [[index[i] for i in row] for row in query.tolist()]
+
+
+@pytest.mark.parametrize(
+    "ids, unknown",
+    [
+        pytest.param([0, 1, 2, 3, 4], [-1, -(2**62), 5, 2**62], id="dense"),
+        pytest.param([0, 2, 3, 7, 9], [-1, 1, 8, 10, 2**62], id="sparse"),
+        pytest.param([1, 2, 3, 4, 5], [-1, 0, 6], id="contiguous-from-1"),
+    ],
+)
+def test_positions_reject_negative_out_of_range_and_missing_ids(ids, unknown):
+    catalog = InterestCatalog.from_columns(
+        ids, [10] * len(ids), [0] * len(ids), ("Zeitgeist",), list("abcde")
+    )
+    query = [[ids[1], ids[0]], [ids[4], ids[2]]]
+    assert catalog.positions(query).tolist() == [[1, 0], [4, 2]]
+    for bad in unknown:
+        with pytest.raises(UnknownInterestError, match=f"unknown interest id: {bad}$"):
+            catalog.positions([[ids[0], ids[1]], [bad, ids[2]]])
+    # The first unknown id in C order is the one reported.
+    first, second = unknown[-1], unknown[0]
+    with pytest.raises(UnknownInterestError, match=f"unknown interest id: {first}$"):
+        catalog.positions([[ids[0], first], [second, ids[1]]])

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import pytest
 
-from _builders import build_cached_simulation, fresh_modern_api
+from _builders import build_cached_simulation, fresh_legacy_api, fresh_modern_api
 
+from repro.adsapi import AdsManagerAPI
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -68,6 +69,81 @@ def request_for(interest_pool, tenant="tenant-a", n=4, offset=0, timeout=None):
         interests=tuple(interest_pool[offset : offset + n]),
         timeout_seconds=timeout,
     )
+
+
+SUSPENDED = "account act_000001 is suspended and cannot use the API"
+
+#: Every admission rejection: (interests from the pool, service set-up,
+#: exact detail).  All but the unknown-id rows are the messages a direct
+#: bulk call (or the service's own limits) gave before admission ran the
+#: row rules itself.
+REJECTIONS = [
+    pytest.param(
+        lambda pool: (), "modern", "a reach request needs at least one interest",
+        id="empty",
+    ),
+    pytest.param(
+        lambda pool: (pool[0], pool[1], pool[0]), "modern",
+        "interests must not contain duplicates", id="duplicate",
+    ),
+    pytest.param(
+        lambda pool: (pool[0], -1), "modern", "interest ids must be non-negative",
+        id="negative",
+    ),
+    pytest.param(
+        lambda pool: (-1, -1), "modern", "interest ids must be non-negative",
+        id="negative-repeated",
+    ),
+    pytest.param(
+        lambda pool: tuple(pool[:26]), "modern",
+        "at most 25 interests are allowed in an audience, got 26", id="26-ids",
+    ),
+    pytest.param(
+        lambda pool: (*pool[:25], -2), "modern",
+        "at most 25 interests are allowed in an audience, got 26",
+        id="26-ids-with-a-negative",
+    ),
+    pytest.param(
+        lambda pool: tuple(pool[:65]), "modern",
+        "request of 65 cells exceeds the per-tick batch budget of 64", id="65-ids",
+    ),
+    pytest.param(
+        lambda pool: tuple(pool[:51]), "modern",
+        "request of 51 cells exceeds the tenant burst capacity of 50", id="51-ids",
+    ),
+    pytest.param(
+        lambda pool: (pool[0],), "unknown-location", "unknown location code: 'XX'",
+        id="unknown-location",
+    ),
+    pytest.param(
+        lambda pool: (pool[0],), "legacy-worldwide",
+        "the worldwide location is not available on this platform version; "
+        "a specific location (country, region, town or ZIP code) is required",
+        id="legacy-worldwide",
+    ),
+    pytest.param(
+        lambda pool: (pool[0],), "suspended-unknown-location", SUSPENDED,
+        id="suspended-and-unknown-location",
+    ),
+    pytest.param(
+        lambda pool: (pool[0], 10**9), "modern", "unknown interest id: 1000000000",
+        id="unknown-id",
+    ),
+    pytest.param(
+        lambda pool: (2**70, pool[0]), "modern", f"unknown interest id: {2**70}",
+        id="id-beyond-int64",
+    ),
+]
+
+
+def admission_service(simulation, setup):
+    if setup == "legacy-worldwide":
+        return ReachService(fresh_legacy_api(simulation), config=ServiceConfig())
+    locations = ("XX",) if setup.endswith("unknown-location") else None
+    service = make_service(simulation, config=ServiceConfig(locations=locations))
+    if setup.startswith("suspended"):
+        service.api.account.suspend(at_hours=0.0)
+    return service
 
 
 def entry_for(interest_pool, index, tenant="tenant-a", n=2, **kwargs):
@@ -254,6 +330,41 @@ class TestAdmission:
         assert response.status == "invalid"
         assert "batch budget" in response.detail
 
+    @pytest.mark.parametrize("interests, setup, detail", REJECTIONS)
+    def test_rejections_carry_the_exact_detail(
+        self, simulation, interest_pool, interests, setup, detail
+    ):
+        service = admission_service(simulation, setup)
+        response = service.submit(ReachRequest("t", interests(interest_pool)))
+        assert (response.status, response.detail) == ("invalid", detail)
+        assert service.counters.shed_invalid == 1
+        assert service.queue_depth == 0
+        assert service.api.call_stats().reach_estimates == 0
+
+    def test_an_unknown_id_leaves_its_tick_mates_served(
+        self, simulation, interest_pool
+    ):
+        service = make_service(simulation)
+        valid = request_for(interest_pool, tenant="t1")
+        assert service.submit(valid) is None
+        unknown = service.submit(ReachRequest("t2", (10**9, interest_pool[2])))
+        assert unknown.status == "invalid"
+        responses = service.tick()
+        assert [r.request for r in responses] == [valid]
+        assert responses[0].ok
+        assert responses[0].values == direct_reach(fresh_modern_api(simulation), valid)
+
+    def test_a_backend_without_a_catalog_is_a_configuration_error(self, simulation):
+        class CatalogFree:
+            def audience_for(self, interest_ids, locations=None, *, combine="and"):
+                return 0.0
+
+            def world_size(self, locations=None):
+                return 1.0
+
+        with pytest.raises(ConfigurationError, match="interest catalog"):
+            ReachService(AdsManagerAPI(CatalogFree()))
+
     def test_throttles_when_tenant_bucket_empties(self, simulation, interest_pool):
         service = make_service(
             simulation,
@@ -372,6 +483,37 @@ class TestCoalescer:
         folded = coalesce_reach(api, requests)
         for request, values in zip(requests, folded):
             assert values == direct_reach(fresh_modern_api(simulation), request)
+
+
+class TestAccountSuspension:
+    def test_suspension_after_admission_fails_the_tick_without_billing(
+        self, simulation, interest_pool
+    ):
+        service = make_service(simulation)
+        requests = [
+            request_for(interest_pool, tenant=tenant, n=3, offset=3 * i)
+            for i, tenant in enumerate(["a", "b"])
+        ]
+        for request in requests:
+            assert service.submit(request) is None
+        service.api.account.suspend(at_hours=0.0)
+        api_clock = service.api.clock.now()
+        responses = service.tick()
+        assert [(r.request, r.status, r.detail) for r in responses] == [
+            (request, "failed", SUSPENDED) for request in requests
+        ]
+        assert service.queue_depth == 0
+        counters = service.counters
+        assert (counters.failed, counters.completed, counters.batches) == (2, 0, 0)
+        # Nothing was billed, and no tenant is blamed for the account's state.
+        assert service.api.call_stats().reach_estimates == 0
+        assert service.api.call_stats().rate_limited == 0
+        assert service.api.clock.now() == api_clock
+        for tenant in ("a", "b"):
+            breaker = service.stats()["tenants"][tenant]["breaker"]
+            assert (breaker["state"], breaker["consecutive_failures"]) == ("closed", 0)
+        later = service.submit(request_for(interest_pool, tenant="a"))
+        assert (later.status, later.detail) == ("invalid", SUSPENDED)
 
 
 class TestServiceParity:
