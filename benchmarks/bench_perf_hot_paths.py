@@ -370,11 +370,9 @@ def _assignment_stage(config, catalog) -> dict:
         return InterestShardTask(
             assigner=assigner,
             base_seed=SCALE_SEED,
-            seed_key="panel-user",
             start=0,
             stop=stop,
             counts=counts[:stop],
-            topics_per_user=3,
             age_group_index=age_group_index[:stop],
             base_bias=base_bias[:stop],
             bias_jitter=float(config.panel.popularity_bias_jitter),

@@ -36,7 +36,6 @@ from .config import (
     ExperimentConfig,
     PanelConfig,
     PlatformConfig,
-    PopulationConfig,
     ReachModelConfig,
     ReproductionConfig,
     UniquenessConfig,
@@ -46,7 +45,6 @@ from .config import (
 from .errors import (
     AdsApiError,
     ArtifactError,
-    CalibrationError,
     CatalogError,
     ConfigurationError,
     DeliveryError,
@@ -99,7 +97,6 @@ __all__ = [
     "ArtifactError",
     "BuildCache",
     "CacheInfo",
-    "CalibrationError",
     "CatalogConfig",
     "CatalogError",
     "ConfigurationError",
@@ -113,7 +110,6 @@ __all__ = [
     "PanelConfig",
     "PanelError",
     "PlatformConfig",
-    "PopulationConfig",
     "PopulationError",
     "ReachModelConfig",
     "ReachRequest",

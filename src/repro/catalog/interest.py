@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import CatalogError
+from ..errors import CatalogError, ReproError
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,21 +70,25 @@ class Interest:
         """
         try:
             return Interest(
-                interest_id=_integral(data["interest_id"], "interest_id"),
+                interest_id=integral(data["interest_id"], "interest_id"),
                 name=str(data["name"]),
                 topic=str(data["topic"]),
-                audience_size=_integral(data["audience_size"], "audience_size"),
+                audience_size=integral(data["audience_size"], "audience_size"),
             )
         except KeyError as exc:
             raise CatalogError(f"missing interest field: {exc}") from exc
 
 
-def _integral(value: Any, field: str) -> int:
-    """``int(value)``, or CatalogError when ``value`` is not a whole number."""
+def integral(value: Any, field: str, error: type[ReproError] = CatalogError) -> int:
+    """``int(value)``, or ``error`` when ``value`` is not a whole number.
+
+    The one integral rule of every JSON loader: ``7``, ``7.0`` and ``"7"``
+    pass, while ``7.5``, ``inf``, ``nan``, ``"abc"`` and ``None`` raise.
+    """
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise CatalogError(f"{field} must be an integer, got {value!r}") from None
+        raise error(f"{field} must be an integer, got {value!r}") from None
     if not isinstance(value, str) and number != value:
-        raise CatalogError(f"{field} must be an integer, got {value!r}")
+        raise error(f"{field} must be an integer, got {value!r}")
     return number

@@ -112,20 +112,8 @@ def _build(args: argparse.Namespace) -> Simulation:
     return build_simulation(config, seed=args.seed, cache=build_cache())
 
 
-def _executor_from_args(simulation: Simulation, args: argparse.Namespace):
+def _executor_from_args(args: argparse.Namespace) -> ShardExecutor | None:
     """The ShardExecutor requested by --workers/--exec-backend (None = fused)."""
-    workers = getattr(args, "workers", 1)
-    backend = getattr(args, "exec_backend", None)
-    if workers == 1 and backend is None:
-        return None
-    return simulation.executor(
-        backend=backend or ("thread" if workers > 1 else "serial"),
-        workers=workers,
-    )
-
-
-def _scenario_executor(args: argparse.Namespace) -> ShardExecutor | None:
-    """Like :func:`_executor_from_args`, without needing a simulation."""
     workers = getattr(args, "workers", 1)
     backend = getattr(args, "exec_backend", None)
     if workers == 1 and backend is None:
@@ -162,7 +150,7 @@ def cmd_uniqueness(args: argparse.Namespace) -> int:
     """Estimate N_P for both selection strategies (Table 1)."""
     simulation = _build(args)
     model = simulation.uniqueness_model()
-    executor = _executor_from_args(simulation, args)
+    executor = _executor_from_args(args)
     strategies = simulation.strategies()
     probabilities = tuple(args.probabilities)
     rows = []
@@ -242,7 +230,7 @@ def cmd_countermeasures(args: argparse.Namespace) -> int:
         simulation.campaign_api,
         workload,
         [recommended_rules()[0]],
-        executor=_executor_from_args(simulation, args),
+        executor=_executor_from_args(args),
     )
     print(f"baseline successes : {baseline.success_count}/{baseline.n_campaigns}")
     print(f"protected successes: {protected.success_count}/{protected.n_campaigns}")
@@ -375,7 +363,7 @@ def _load_spec_file(path: str, args: argparse.Namespace) -> tuple[ScenarioSpec, 
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     """Run one registered scenario through the Experiment protocol."""
     spec = _scenario_with_overrides(args)
-    result = run_scenario(spec, executor=_scenario_executor(args))
+    result = run_scenario(spec, executor=_executor_from_args(args))
     print(f"scenario {result.scenario} ({result.study}, seed={result.seed})")
     for line in result.summary:
         print(f"  {line}")
@@ -450,7 +438,7 @@ def cmd_scenario_sweep(args: argparse.Namespace) -> int:
             raise SystemExit("a registered scenario name (or --spec FILE) is required")
         base = _scenario_with_overrides(args)
         specs = expand_grid(base, _parse_grid(args.grid))
-    executor = _scenario_executor(args) or ShardExecutor()
+    executor = _executor_from_args(args) or ShardExecutor()
     retry, faults = _sweep_fault_layer(args)
     runner = SweepRunner(
         executor=executor,

@@ -201,28 +201,6 @@ class PanelConfig(FingerprintedConfig):
 
 
 @dataclass(frozen=True)
-class PopulationConfig(FingerprintedConfig):
-    """Configuration of the agent-based scaled population."""
-
-    n_agents: int = 150_000
-    scale_factor: float = 10_000.0
-    median_interests_per_user: float = 220.0
-    interests_log10_sigma: float = 0.55
-    min_interests_per_user: int = 1
-    max_interests_per_user: int = 4_000
-    topics_per_user: int = 3
-    seed: int = 77
-
-    def __post_init__(self) -> None:
-        if self.n_agents <= 0:
-            raise ConfigurationError("n_agents must be positive")
-        if self.scale_factor <= 0:
-            raise ConfigurationError("scale_factor must be positive")
-        if self.topics_per_user < 1:
-            raise ConfigurationError("topics_per_user must be >= 1")
-
-
-@dataclass(frozen=True)
 class UniquenessConfig(FingerprintedConfig):
     """Configuration of the uniqueness analysis (Section 4)."""
 
@@ -288,7 +266,6 @@ class ReproductionConfig(FingerprintedConfig):
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
     reach: ReachModelConfig = field(default_factory=ReachModelConfig)
     panel: PanelConfig = field(default_factory=PanelConfig)
-    population: PopulationConfig = field(default_factory=PopulationConfig)
     uniqueness: UniquenessConfig = field(default_factory=UniquenessConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
@@ -322,16 +299,7 @@ class ReproductionConfig(FingerprintedConfig):
         uniqueness = replace(
             self.uniqueness, n_bootstrap=max(50, self.uniqueness.n_bootstrap // factor)
         )
-        population = replace(
-            self.population, n_agents=max(1_000, self.population.n_agents // factor)
-        )
-        return replace(
-            self,
-            panel=panel,
-            catalog=catalog,
-            uniqueness=uniqueness,
-            population=population,
-        )
+        return replace(self, panel=panel, catalog=catalog, uniqueness=uniqueness)
 
 
 def _rescale_panel(panel: PanelConfig, n_users: int) -> PanelConfig:

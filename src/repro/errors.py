@@ -16,10 +16,6 @@ class ConfigurationError(ReproError):
     """A configuration object contains inconsistent or invalid values."""
 
 
-class CalibrationError(ReproError):
-    """A calibration routine failed to reach its target within tolerance."""
-
-
 class CatalogError(ReproError):
     """The interest catalog was queried for an unknown interest or built badly."""
 

@@ -24,9 +24,9 @@ shards run through the batched
 :meth:`~repro.population.assignment.InterestAssigner.assign_rows` kernel;
 see :mod:`repro.population.generation`'s stream contract), and a panel
 built from user objects (:class:`FDVTPanel` itself, :meth:`FDVTPanel.from_dicts`)
-encodes its store once, on first use.  Every dataset statistic is an array
-sweep, demographic sub-panels are boolean-mask cuts, and user objects are
-only materialised when an accessor (:attr:`FDVTPanel.users`, iteration,
+encodes its store once, at construction.  Every dataset statistic is an
+array sweep, demographic sub-panels are boolean-mask cuts, and user objects
+are only decoded when an accessor (:attr:`FDVTPanel.users`, iteration,
 :meth:`FDVTPanel.get`) asks for them.
 """
 
@@ -87,72 +87,59 @@ _BASE_POPULARITY_BIAS = 0.35
 
 
 class FDVTPanel:
-    """A collection of synthetic FDVT panellists."""
+    """A collection of synthetic FDVT panellists over one columnar store."""
 
     def __init__(self, users: Iterable[SyntheticUser], catalog: InterestCatalog) -> None:
-        self._users: tuple[SyntheticUser, ...] | None = tuple(users)
-        if not self._users:
-            raise PanelError("a panel must contain at least one user")
-        self._catalog = catalog
-        if len({user.user_id for user in self._users}) != len(self._users):
+        users = tuple(users)
+        if len({user.user_id for user in users}) != len(users):
             raise PanelError("panel user ids must be unique")
-        self._columns: PanelColumns | None = None
-        self._by_id: dict[int, SyntheticUser] | None = None
+        try:
+            columns = PanelColumns.from_users(users)
+        except OverflowError as error:
+            # An id or age beyond its column's integer type (interest ids
+            # are the CSR's int32).
+            raise PanelError(f"panel user does not fit the store: {error}") from None
+        self._attach(columns, catalog)
 
     @classmethod
     def from_columns(cls, columns: PanelColumns, catalog: InterestCatalog) -> "FDVTPanel":
         """A panel viewing ``columns`` directly — no user objects built."""
-        if len(columns) == 0:
-            raise PanelError("a panel must contain at least one user")
         panel = cls.__new__(cls)
-        panel._users = None
-        panel._catalog = catalog
-        panel._columns = columns
-        panel._by_id = None
+        panel._attach(columns, catalog)
         return panel
 
-    # -- columnar core ------------------------------------------------------------
+    def _attach(self, columns: PanelColumns, catalog: InterestCatalog) -> None:
+        if len(columns) == 0:
+            raise PanelError("a panel must contain at least one user")
+        self._columns = columns
+        self._catalog = catalog
+        self._users: tuple[SyntheticUser, ...] | None = None
 
     @property
     def columns(self) -> PanelColumns:
-        """The columnar store backing this panel (built lazily)."""
-        if self._columns is None:
-            self._columns = PanelColumns.from_users(self._users)  # type: ignore[arg-type]
+        """The columnar store backing this panel."""
         return self._columns
 
     # -- container protocol ------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._users is not None:
-            return len(self._users)
-        return len(self.columns)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[SyntheticUser]:
         return iter(self.users)
 
     def get(self, user_id: int) -> SyntheticUser:
-        """Return the panellist with ``user_id`` or raise.
-
-        Column-backed panels materialise only the requested row; the dict
-        index is built lazily once users exist as objects anyway.
-        """
-        if self._by_id is None and self._users is not None:
-            self._by_id = {user.user_id: user for user in self._users}
-        if self._by_id is not None:
-            try:
-                return self._by_id[user_id]
-            except KeyError:
-                raise PanelError(f"unknown panel user id: {user_id}") from None
-        rows = np.flatnonzero(self.columns.user_ids == int(user_id))
+        """Return the panellist with ``user_id`` (decoding only that row) or raise."""
+        rows = np.flatnonzero(self._columns.user_ids == int(user_id))
         if rows.size == 0:
             raise PanelError(f"unknown panel user id: {user_id}")
-        return self.columns.user_at(int(rows[0]))
+        return self._columns.user_at(int(rows[0]))
 
     @property
     def users(self) -> tuple[SyntheticUser, ...]:
-        """All panellists (materialised on first access on columnar panels)."""
+        """All panellists, in row order (decoded on first access)."""
         if self._users is None:
-            self._users = self.columns.to_users()
+            self._users = self._columns.to_users()
         return self._users
 
     @property
@@ -235,14 +222,10 @@ class PanelBuilder:
         config: PanelConfig | None = None,
         *,
         assigner: InterestAssigner | None = None,
-        topics_per_user: int = 3,
     ) -> None:
         self._catalog = catalog
         self._config = config or PanelConfig()
         self._assigner = assigner or InterestAssigner(catalog)
-        if topics_per_user < 1:
-            raise PanelError("topics_per_user must be >= 1")
-        self._topics_per_user = topics_per_user
 
     @property
     def config(self) -> PanelConfig:
@@ -257,7 +240,8 @@ class PanelBuilder:
         ``executor`` shards the per-user assignment stage over contiguous
         row ranges (serial by default); every backend, worker count and
         shard size produces the same columns, because each row re-derives
-        its own ``derive_generator(base_seed, "panel-user", index)`` stream.
+        its own ``derive_generator(base_seed, SEED_KEY, index)`` stream
+        (:mod:`repro.population.generation`).
         """
         config = self._config
         base_seed = resolve_seed(seed, config.seed)
@@ -276,11 +260,9 @@ class PanelBuilder:
             InterestShardTask(
                 assigner=payload,
                 base_seed=base_seed,
-                seed_key="panel-user",
                 start=shard.start,
                 stop=shard.stop,
                 counts=counts[shard.rows],
-                topics_per_user=self._topics_per_user,
                 age_group_index=age_group_index[shard.rows],
                 base_bias=base_bias[shard.rows],
                 bias_jitter=float(config.popularity_bias_jitter),

@@ -104,22 +104,6 @@ class Simulation:
             RandomSelection(seed=derive_seed(self.config.uniqueness.seed, "random-strategy")),
         )
 
-    def executor(
-        self,
-        *,
-        backend: str = "serial",
-        workers: int = 1,
-        shard_size: int | None = None,
-    ) -> ShardExecutor:
-        """A :class:`~repro.exec.ShardExecutor` for panel-scale fan-outs.
-
-        The handle threads through ``UniquenessModel`` /
-        ``AudienceSizeCollector.collect`` / ``collect_stream`` and the
-        countermeasure evaluation; every backend and worker count returns
-        bit-identical results, so the choice is purely about hardware.
-        """
-        return ShardExecutor(backend=backend, workers=workers, shard_size=shard_size)
-
 
 # -- stage seeds and fingerprints ---------------------------------------------------
 

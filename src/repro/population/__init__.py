@@ -1,7 +1,6 @@
-"""Agent-based scaled Facebook population."""
+"""Synthetic Facebook users: demographics, interest assignment and the columnar store."""
 
 from .assignment import InterestAssigner
-from .builder import PopulationBuilder
 from .columnar import AGE_UNDISCLOSED, PanelColumns, classify_age_codes
 from .demographics import (
     AGE_GROUP_BOUNDS,
@@ -13,9 +12,6 @@ from .demographics import (
     Gender,
     classify_age,
     sample_age,
-    sample_ages,
-    sample_gender_index,
-    sample_genders,
 )
 from .generation import (
     AssignerSpec,
@@ -25,7 +21,6 @@ from .generation import (
     resolve_assigner,
     run_interest_shard,
 )
-from .population import Population, PopulationReachBackend
 from .sampling import InterestCountModel
 from .user import SyntheticUser
 
@@ -43,9 +38,6 @@ __all__ = [
     "InterestCountModel",
     "InterestShardTask",
     "PanelColumns",
-    "Population",
-    "PopulationBuilder",
-    "PopulationReachBackend",
     "SyntheticUser",
     "assigner_shard_payload",
     "classify_age",
@@ -54,7 +46,4 @@ __all__ = [
     "resolve_assigner",
     "run_interest_shard",
     "sample_age",
-    "sample_ages",
-    "sample_gender_index",
-    "sample_genders",
 ]

@@ -16,8 +16,8 @@ The assigner implements a two-stage model:
    popularity distribution, guaranteeing a supply of rare interests in every
    profile).
 
-Both the agent-based population and the FDVT panel use this assigner, so the
-co-occurrence structure seen by the reach model and by the panel is the same.
+The FDVT panel builder (:class:`~repro.fdvt.panel.PanelBuilder`) draws every
+panellist's interests through this assigner.
 
 Two call shapes expose the model:
 

@@ -3,15 +3,13 @@
 The paper breaks its panel down by gender, by the Erikson age groups
 (adolescence 13-19, early adulthood 20-39, adulthood 40-64, maturity 65+)
 and by country of residence, and Appendix C repeats the uniqueness analysis
-per demographic group.  The enums and samplers here are shared by the
-agent-based population and the FDVT panel generator.
+per demographic group.  The FDVT panel generator, the columnar store and
+the analyses share the enums, the code tables and the age sampler here.
 """
 
 from __future__ import annotations
 
 import enum
-
-import numpy as np
 
 from .._rng import SeedLike, as_generator
 from ..errors import PopulationError
@@ -46,7 +44,7 @@ AGE_GROUP_BOUNDS: dict[AgeGroup, tuple[int, int]] = {
 #: Fixed code tables of the columnar panel store
 #: (:mod:`repro.population.columnar`): ``gender_index`` / ``age_group_index``
 #: columns hold positions into these tuples.  They live here, next to the
-#: enums, so samplers can emit codes without importing the store.
+#: enums, so builders can emit codes without importing the store.
 GENDER_TABLE: tuple[Gender, ...] = (
     Gender.MALE,
     Gender.FEMALE,
@@ -84,42 +82,3 @@ def sample_age(group: AgeGroup, seed: SeedLike = None) -> int | None:
     rng = as_generator(seed)
     low, high = AGE_GROUP_BOUNDS[group]
     return int(rng.integers(low, high + 1))
-
-
-def sample_gender_index(
-    n: int, seed: SeedLike = None, *, female_share: float = 0.46
-) -> np.ndarray:
-    """Sample ``n`` gender codes (:data:`GENDER_TABLE` positions) as ``int8``.
-
-    The vectorised core of :func:`sample_genders`: consumes the identical
-    ``rng.random(n)`` draw, so both entry points produce the same genders
-    for the same seed.
-    """
-    if n < 0:
-        raise PopulationError("n must be non-negative")
-    if not 0.0 <= female_share <= 1.0:
-        raise PopulationError("female_share must lie in [0, 1]")
-    rng = as_generator(seed)
-    draws = rng.random(n)
-    return np.where(
-        draws < female_share, GENDER_CODES[Gender.FEMALE], GENDER_CODES[Gender.MALE]
-    ).astype(np.int8)
-
-
-def sample_genders(n: int, seed: SeedLike = None, *, female_share: float = 0.46) -> list[Gender]:
-    """Sample ``n`` genders for the general population (roughly balanced)."""
-    codes = sample_gender_index(n, seed, female_share=female_share)
-    return [GENDER_TABLE[code] for code in codes]
-
-
-def sample_ages(n: int, seed: SeedLike = None) -> np.ndarray:
-    """Sample ``n`` ages for the general population.
-
-    The distribution roughly follows the public Facebook age pyramid: a mode
-    in the late twenties with a long tail towards older users.
-    """
-    if n < 0:
-        raise PopulationError("n must be non-negative")
-    rng = as_generator(seed)
-    ages = 13 + rng.gamma(shape=3.2, scale=5.5, size=n)
-    return np.clip(np.rint(ages), 13, 90).astype(int)

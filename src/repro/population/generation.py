@@ -1,12 +1,12 @@
 """Sharded, bit-identical generation of columnar user panels.
 
-The builders (:meth:`~repro.population.builder.PopulationBuilder.build`,
-:meth:`~repro.fdvt.panel.PanelBuilder.build`) draw demographics and interest
-counts as whole-array operations, then assign interests per user, deriving
-one ``derive_generator(base_seed, key, index)`` per user.  Because every
-user's stream is derived from its row index alone, the per-user work is
-embarrassingly parallel *and* partition-free: any contiguous shard of rows
-reproduces exactly the draws of a whole-range pass.
+:meth:`~repro.fdvt.panel.PanelBuilder.build` draws demographics and
+interest counts as whole-array operations, then assigns interests per
+user, deriving one ``derive_generator(base_seed, SEED_KEY, index)`` per
+user.  Because every user's stream is derived from its row index alone,
+the per-user work is embarrassingly parallel *and* partition-free: any
+contiguous shard of rows reproduces exactly the draws of a whole-range
+pass.
 
 :class:`InterestShardTask` packages one such shard as a picklable unit of
 work for a :class:`~repro.exec.runner.ShardRunner` — the same machinery the
@@ -25,17 +25,17 @@ count and shard size yields bit-identical columns.
 Stream contract
 ---------------
 
-Every row owns one ``derive_generator(base_seed, seed_key, row)`` stream,
+Every row owns one ``derive_generator(base_seed, SEED_KEY, row)`` stream,
 consumed in exactly this order:
 
-1. **age draw** — panel path only (``age_group_index`` present): one
-   ``rng.integers`` draw via :func:`~repro.population.demographics.sample_age`
-   for disclosed age groups; *no* draw for UNDISCLOSED rows;
-2. **bias jitter** — panel path only (``bias_jitter > 0``): one
+1. **age draw** — one ``rng.integers`` draw via
+   :func:`~repro.population.demographics.sample_age` for disclosed age
+   groups; *no* draw for UNDISCLOSED rows;
+2. **bias jitter** — only when ``bias_jitter > 0``: one
    ``rng.normal(0.0, jitter)`` draw, then round to 2 decimals and clip to
    ``[0.1, 0.95]``;
 3. **preferred topics** — one
-   ``rng.choice(n_topics, size=count, replace=False)`` draw;
+   ``rng.choice(n_topics, size=TOPICS_PER_USER, replace=False)`` draw;
 4. **assignment** — the :meth:`InterestAssigner.assign
    <repro.population.assignment.InterestAssigner.assign>` attempt loop:
    per attempt one topic draw block (``rng.choice(..., p=...)``, i.e. one
@@ -71,6 +71,12 @@ from ..cache import (
 )
 from .columnar import AGE_GROUP_TABLE, AGE_UNDISCLOSED
 from .demographics import AGE_GROUP_BOUNDS, AgeGroup
+
+#: Label of every row's per-user stream (see the stream contract).
+SEED_KEY = "panel-user"
+
+#: Preferred topics drawn per user from its stream (stage 3).
+TOPICS_PER_USER = 3
 
 #: Bounded per-process memo of assigners rebuilt from specs (mirrors
 #: ``repro.exec.tasks``'s model memo): long-lived sweep/service workers
@@ -184,7 +190,7 @@ class InterestShardTask:
     """One contiguous row range of per-user interest assignment.
 
     Pure compute: re-derives each row's per-user generator from
-    ``(base_seed, seed_key, row)``, so re-running a shard (retries, chaos)
+    ``(base_seed, SEED_KEY, row)``, so re-running a shard (retries, chaos)
     or re-partitioning the plan cannot change any draw.
     """
 
@@ -192,29 +198,23 @@ class InterestShardTask:
     assigner: Any
     #: The builder's resolved base seed.
     base_seed: int
-    #: Per-user stream label: ``"user"`` (population) or ``"panel-user"``.
-    seed_key: str
     #: Global row range ``[start, stop)`` this shard covers.
     start: int
     stop: int
     #: Requested interests per row — one entry per covered row.
     counts: np.ndarray
-    #: Preferred topics drawn per user from its stream.
-    topics_per_user: int
     #: Per-row :data:`~repro.population.columnar.AGE_GROUP_TABLE` codes to
-    #: sample ages from inside the per-user stream (panel path), or ``None``
-    #: when ages were sampled as a whole-array stage (population path).
-    age_group_index: np.ndarray | None = None
-    #: Per-row popularity bias before jitter (panel path), or ``None`` for
-    #: the assigner's default bias with no jitter draw.
-    base_bias: np.ndarray | None = None
+    #: sample ages from inside the per-user stream.
+    age_group_index: np.ndarray
+    #: Per-row popularity bias before jitter.
+    base_bias: np.ndarray
     #: Std-dev of the per-user bias jitter draw (0 skips the draw).
     bias_jitter: float = 0.0
 
 
 def _shard_row_streams(
     assigner: Any, task: InterestShardTask
-) -> tuple[list[Any], list[np.ndarray], np.ndarray | None, np.ndarray | None]:
+) -> tuple[list[Any], list[np.ndarray], np.ndarray, np.ndarray]:
     """Run stream stages 1–3 for every row; park the live generators.
 
     Returns ``(streams, preferred, biases, ages)`` with one parked
@@ -227,54 +227,43 @@ def _shard_row_streams(
     # inlined draw-for-draw (``sample_age`` is one ``rng.integers`` inside
     # the group's bounds; the jitter clip is a scalar clamp) and the numpy
     # scalar indexing is hoisted into plain Python lists.
-    ages: np.ndarray | None = None
-    age_codes: list[int] | None = None
-    if task.age_group_index is not None:
-        ages = np.full(n_rows, AGE_UNDISCLOSED, dtype=np.int16)
-        age_codes = task.age_group_index.tolist()
+    ages = np.full(n_rows, AGE_UNDISCLOSED, dtype=np.int16)
+    age_codes = task.age_group_index.tolist()
     bounds_by_code = [
         None if group is AgeGroup.UNDISCLOSED else AGE_GROUP_BOUNDS[group]
         for group in AGE_GROUP_TABLE
     ]
-    biases: np.ndarray | None = None
-    base_bias: list[float] | None = None
-    if task.base_bias is not None:
-        biases = np.empty(n_rows, dtype=np.float64)
-        base_bias = task.base_bias.tolist()
+    biases = np.empty(n_rows, dtype=np.float64)
+    base_bias = task.base_bias.tolist()
     jitter = float(task.bias_jitter)
     sample_preferred = assigner.sample_preferred_topic_indices
-    topics_per_user = task.topics_per_user
-    base_seed, seed_key, start = task.base_seed, task.seed_key, task.start
+    base_seed, start = task.base_seed, task.start
     streams: list[Any] = []
     preferred: list[np.ndarray] = []
     for offset in range(n_rows):
-        user_rng = derive_generator(base_seed, seed_key, start + offset)
-        if age_codes is not None:
-            bounds = bounds_by_code[age_codes[offset]]
-            if bounds is not None:
-                ages[offset] = int(  # type: ignore[index]
-                    user_rng.integers(bounds[0], bounds[1] + 1)
-                )
-        if base_bias is not None:
-            bias = base_bias[offset]
-            if jitter > 0:
-                bias += float(user_rng.normal(0.0, jitter))
-                bias = round(bias, 2)
-                bias = 0.1 if bias < 0.1 else (0.95 if bias > 0.95 else bias)
-            biases[offset] = bias  # type: ignore[index]
-        preferred.append(sample_preferred(topics_per_user, user_rng))
+        user_rng = derive_generator(base_seed, SEED_KEY, start + offset)
+        bounds = bounds_by_code[age_codes[offset]]
+        if bounds is not None:
+            ages[offset] = int(user_rng.integers(bounds[0], bounds[1] + 1))
+        bias = base_bias[offset]
+        if jitter > 0:
+            bias += float(user_rng.normal(0.0, jitter))
+            bias = round(bias, 2)
+            bias = 0.1 if bias < 0.1 else (0.95 if bias > 0.95 else bias)
+        biases[offset] = bias
+        preferred.append(sample_preferred(TOPICS_PER_USER, user_rng))
         streams.append(user_rng)
     return streams, preferred, biases, ages
 
 
 def run_interest_shard(
     task: InterestShardTask,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assign one shard's rows; returns ``(flat_ids, row_counts, ages)``.
 
     ``flat_ids`` is the shard's CSR fragment (``int32``), ``row_counts``
-    the per-row lengths, and ``ages`` the sampled ``int16`` ages (``None``
-    when the task carries no age groups).  Bit-identical to one
+    the per-row lengths, and ``ages`` the sampled ``int16`` ages
+    (``AGE_UNDISCLOSED`` for undisclosed rows).  Bit-identical to one
     :meth:`~repro.population.assignment.InterestAssigner.assign` call per
     row: each per-user stream is consumed in exactly the documented order
     (see the module docstring's stream contract) — stages 1–3 row by

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..catalog.interest import integral
 from ..errors import PopulationError
 from .demographics import AgeGroup, Gender, classify_age
 
@@ -91,11 +92,26 @@ class SyntheticUser:
 
     @staticmethod
     def from_dict(data: dict) -> "SyntheticUser":
-        """Rebuild a user from :meth:`to_dict` output."""
+        """Rebuild a user from :meth:`to_dict` output.
+
+        The user id, a disclosed age and every interest id must be
+        integral (:func:`~repro.catalog.interest.integral`: ``7.0`` and
+        ``"7"`` load, ``1.7`` and ``"abc"`` do not) and the gender one of
+        :class:`Gender`'s values; a value that breaks these rules raises
+        :class:`PopulationError`.
+        """
+        try:
+            gender = Gender(data.get("gender", Gender.UNDISCLOSED.value))
+        except ValueError:
+            raise PopulationError(f"unknown gender: {data['gender']!r}") from None
+        age = data.get("age")
         return SyntheticUser(
-            user_id=int(data["user_id"]),
+            user_id=integral(data["user_id"], "user_id", PopulationError),
             country=str(data["country"]),
-            gender=Gender(data.get("gender", Gender.UNDISCLOSED.value)),
-            age=data.get("age"),
-            interest_ids=tuple(int(i) for i in data.get("interest_ids", ())),
+            gender=gender,
+            age=None if age is None else integral(age, "age", PopulationError),
+            interest_ids=tuple(
+                integral(i, "interest id", PopulationError)
+                for i in data.get("interest_ids", ())
+            ),
         )

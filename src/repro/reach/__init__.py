@@ -1,7 +1,6 @@
 """World-scale audience (reach) modelling."""
 
 from .backend import ReachBackend
-from .calibration import CalibrationResult, calibrate_correlation_alpha, median_cutpoint
 from .countries import (
     FB_WORLDWIDE_MAU_2020,
     TOP_50_COUNTRIES,
@@ -17,7 +16,6 @@ from .jitter import combination_seed, lognormal_jitter, prefix_seeds
 from .model import ReachModelSpec, StatisticalReachModel
 
 __all__ = [
-    "CalibrationResult",
     "Country",
     "FB_WORLDWIDE_MAU_2020",
     "ReachBackend",
@@ -28,11 +26,9 @@ __all__ = [
     "prefix_seeds",
     "TOP_50_COUNTRIES",
     "WORLDWIDE",
-    "calibrate_correlation_alpha",
     "country_codes",
     "get_country",
     "is_known_location",
     "location_fraction",
-    "median_cutpoint",
     "total_user_base",
 ]

@@ -2,21 +2,15 @@
 
 The simulated Ads Manager API (:mod:`repro.adsapi`) does not compute
 audience sizes itself; it delegates to any object implementing
-:class:`ReachBackend`.  Two implementations ship with the library:
-
-* :class:`repro.reach.StatisticalReachModel` — an analytic model at the true
-  world scale (1.5B users), used for the uniqueness analysis and the
-  nanotargeting experiment;
-* :class:`repro.population.PopulationReachBackend` — exact counting over an
-  agent-based scaled population, used for delivery simulations and for
-  validating the analytic model's semantics.
+:class:`ReachBackend`.  One implementation ships with the library:
+:class:`repro.reach.StatisticalReachModel`, an analytic model at the true
+world scale (1.5B users), used for the uniqueness analysis, the
+nanotargeting experiment and the reach service.
 
 Besides the scalar :meth:`~ReachBackend.audience_for`, the protocol carries
 one bulk entry point, :meth:`~ReachBackend.prefix_audiences_panel` — the
-AND audiences of every prefix of every row of a padded id matrix — with a
-default that loops the scalar method, so any backend serves the Ads API's
-bulk and batch endpoints.  The statistical model overrides it with its
-vectorised kernel; callers get bit-identical results either way.
+AND audiences of every prefix of every row of a padded id matrix — which
+every backend implements itself; the protocol has no default body.
 """
 
 from __future__ import annotations
@@ -68,15 +62,6 @@ class ReachBackend(Protocol):
 
         Cell ``(u, k)`` of the result must equal
         ``audience_for(id_matrix[u, :k + 1], locations)`` bit-for-bit for
-        ``k < counts[u]`` and be ``NaN`` elsewhere.  This default loops the
-        scalar method; vectorised backends override it with a whole-panel
-        sweep.
+        ``k < counts[u]`` and be ``NaN`` elsewhere.
         """
-        ids = np.asarray(id_matrix, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        result = np.full(ids.shape, np.nan, dtype=float)
-        for row in range(ids.shape[0]):
-            prefix = tuple(int(i) for i in ids[row, : counts[row]])
-            for k in range(len(prefix)):
-                result[row, k] = self.audience_for(prefix[: k + 1], locations)
-        return result
+        ...  # pragma: no cover - protocol definition

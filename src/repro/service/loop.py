@@ -36,11 +36,15 @@ queueing unboundedly.  The request path, in order:
    re-checks only what can change after admission, the account state: if
    the account was suspended in between, every popped entry is answered
    ``failed`` with the suspension message, before any token is billed
-   and without charging a breaker (the fault is the account's).
+   and without charging a breaker (the fault is the account's).  Over an
+   API built with ``auto_wait=False`` the merged bill can exceed the API's
+   own rate limit: every popped entry is then answered ``throttled`` with
+   the API's ``retry_after_seconds``, again without charging a breaker.
 
 **What is shed, when, and what the client sees** — the overload policy in
 one table: queue full at admission → ``overloaded`` (retry after one
-tick); tenant bucket empty → ``throttled`` (retry when tokens refill);
+tick); tenant bucket empty, or the API's own limit hit at a tick without
+``auto_wait`` → ``throttled`` (retry when tokens refill);
 breaker open → ``circuit_open`` (retry after the cooldown); deadline
 passed while queued, or backoff/slow-fault latency would pass it →
 ``deadline_exceeded``; retry budget exhausted against faults, or the
@@ -72,6 +76,7 @@ from ..errors import (
     AdsApiError,
     ConfigurationError,
     InjectedFaultError,
+    RateLimitExceededError,
     TargetingValidationError,
     TransientApiError,
     UnknownInterestError,
@@ -350,6 +355,22 @@ class ReachService:
                     self._resolve(entry, "failed", str(error), now) for entry in batch
                 )
                 return responses
+            except RateLimitExceededError as error:
+                # Only an API built with ``auto_wait=False`` raises here; its
+                # bucket is drained as far as it went.  The limit is the
+                # account's, so no breaker is charged.
+                self._stats.shed_throttled += len(batch)
+                responses.extend(
+                    self._resolve(
+                        entry,
+                        "throttled",
+                        str(error),
+                        now,
+                        retry_after=error.retry_after_seconds,
+                    )
+                    for entry in batch
+                )
+                return responses
             self._stats.batches += 1
             for entry, row in zip(batch, values):
                 self._breaker(entry.request.tenant).record_success()
@@ -478,12 +499,19 @@ class ReachService:
         return self._resolve(entry, "deadline_exceeded", reason, now)
 
     def _resolve(
-        self, entry: QueuedRequest, status: str, detail: str, now: float
+        self,
+        entry: QueuedRequest,
+        status: str,
+        detail: str,
+        now: float,
+        *,
+        retry_after: float | None = None,
     ) -> ReachResponse:
         return ReachResponse(
             request=entry.request,
             status=status,
             detail=detail,
+            retry_after_seconds=retry_after,
             submitted_at=entry.submitted_at,
             completed_at=now,
             attempts=entry.attempt + (1 if status == "failed" else 0),

@@ -21,9 +21,16 @@ kept out of ``src/`` because nothing but the parity checks runs it:
 * :func:`run_interest_shard_reference` — one ``InterestAssigner.assign``
   call per row, the executable statement of the stream contract in
   :mod:`repro.population.generation`;
-* :func:`reference_population` and :func:`reference_panel` — the builders
-  as per-user loops that construct ``SyntheticUser`` objects, and
-  :func:`reference_build_panel`, the pipeline's panel stage on top of them;
+* :func:`reference_panel` — ``PanelBuilder.build`` as a per-user loop that
+  constructs ``SyntheticUser`` objects, and :func:`reference_build_panel`,
+  the pipeline's panel stage on top of it;
+* :class:`ExactCountBackend` and :func:`reference_population` — a reach
+  backend that counts the users of an explicit agent set exactly, and a
+  seeded world of such agents; the statistical model's semantics (AND/OR,
+  locations, monotonicity) are checked against it;
+* :func:`prefix_audiences_loop` — the bulk reach endpoint as one scalar
+  ``audience_for`` call per prefix cell, the contract every
+  ``prefix_audiences_panel`` implements;
 * :class:`ObjectCatalog` — the interest catalog as a dict of ``Interest``
   objects, re-sorted on every ``rarest``/``most_popular`` call and scanned
   per topic; the columnar ``InterestCatalog`` is pinned against it;
@@ -72,18 +79,17 @@ from repro.population import (
     AGE_GROUP_TABLE,
     AGE_UNDISCLOSED,
     GENDER_TABLE,
+    Gender,
     InterestAssigner,
+    InterestCountModel,
     InterestShardTask,
-    Population,
-    PopulationBuilder,
     SyntheticUser,
     resolve_assigner,
     sample_age,
-    sample_ages,
-    sample_gender_index,
 )
 from repro.population.columnar import PanelColumns
-from repro.reach import StatisticalReachModel
+from repro.population.generation import SEED_KEY, TOPICS_PER_USER
+from repro.reach import TOP_50_COUNTRIES, WORLDWIDE, StatisticalReachModel
 from repro.reach.jitter import lognormal_jitter, prefix_seeds
 
 # -- catalog -------------------------------------------------------------------------
@@ -427,7 +433,7 @@ def bootstrap_cutpoints_reference(
 
 def run_interest_shard_reference(
     task: InterestShardTask,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-user reference of :func:`repro.population.run_interest_shard`.
 
     One :meth:`~repro.population.InterestAssigner.assign` call per row on
@@ -437,24 +443,18 @@ def run_interest_shard_reference(
     assigner = resolve_assigner(task.assigner)
     n_rows = task.stop - task.start
     row_counts = np.empty(n_rows, dtype=np.int64)
-    ages: np.ndarray | None = None
-    if task.age_group_index is not None:
-        ages = np.full(n_rows, AGE_UNDISCLOSED, dtype=np.int16)
+    ages = np.full(n_rows, AGE_UNDISCLOSED, dtype=np.int16)
     flat: list[int] = []
     for offset in range(n_rows):
-        user_rng = derive_generator(task.base_seed, task.seed_key, task.start + offset)
-        if task.age_group_index is not None:
-            group = AGE_GROUP_TABLE[task.age_group_index[offset]]
-            age = sample_age(group, user_rng)
-            if age is not None:
-                ages[offset] = age  # type: ignore[index]
-        bias: float | None = None
-        if task.base_bias is not None:
-            bias = float(task.base_bias[offset])
-            if task.bias_jitter > 0:
-                bias += float(user_rng.normal(0.0, task.bias_jitter))
-                bias = float(np.clip(round(bias, 2), 0.1, 0.95))
-        preferred = assigner.sample_preferred_topics(task.topics_per_user, user_rng)
+        user_rng = derive_generator(task.base_seed, SEED_KEY, task.start + offset)
+        age = sample_age(AGE_GROUP_TABLE[task.age_group_index[offset]], user_rng)
+        if age is not None:
+            ages[offset] = age
+        bias = float(task.base_bias[offset])
+        if task.bias_jitter > 0:
+            bias += float(user_rng.normal(0.0, task.bias_jitter))
+            bias = float(np.clip(round(bias, 2), 0.1, 0.95))
+        preferred = assigner.sample_preferred_topics(TOPICS_PER_USER, user_rng)
         interests = assigner.assign(
             int(task.counts[offset]),
             user_rng,
@@ -465,39 +465,6 @@ def run_interest_shard_reference(
         flat.extend(interests)
     flat_ids = np.array(flat, dtype=np.int32) if flat else np.zeros(0, dtype=np.int32)
     return flat_ids, row_counts, ages
-
-
-def reference_population(
-    builder: PopulationBuilder, seed: SeedLike = None
-) -> Population:
-    """``builder.build(seed)`` as one ``assign`` call and one user object per agent."""
-    config = builder.config
-    base_seed = resolve_seed(seed, config.seed)
-    codes, country_index = builder._sample_country_index(config.n_agents, base_seed)
-    gender_index = sample_gender_index(
-        config.n_agents, derive_generator(base_seed, "genders")
-    )
-    ages = sample_ages(config.n_agents, derive_generator(base_seed, "ages"))
-    counts = builder._count_model().sample(
-        config.n_agents, derive_generator(base_seed, "interest-counts")
-    )
-    assigner = builder._assigner
-    users = []
-    for index in range(config.n_agents):
-        user_rng = derive_generator(base_seed, "user", index)
-        preferred = assigner.sample_preferred_topics(config.topics_per_user, user_rng)
-        users.append(
-            SyntheticUser(
-                user_id=index,
-                country=codes[country_index[index]],
-                gender=GENDER_TABLE[gender_index[index]],
-                age=int(ages[index]),
-                interest_ids=assigner.assign(
-                    int(counts[index]), user_rng, preferred_topics=preferred
-                ),
-            )
-        )
-    return Population(users, scale_factor=config.scale_factor)
 
 
 def reference_panel(builder: PanelBuilder, seed: SeedLike = None) -> FDVTPanel:
@@ -514,11 +481,9 @@ def reference_panel(builder: PanelBuilder, seed: SeedLike = None) -> FDVTPanel:
         InterestShardTask(
             assigner=builder._assigner,
             base_seed=base_seed,
-            seed_key="panel-user",
             start=0,
             stop=config.n_users,
             counts=counts,
-            topics_per_user=builder._topics_per_user,
             age_group_index=age_group_index,
             base_bias=_bias_table(codes)[gender_index, age_group_index, country_index],
             bias_jitter=float(config.popularity_bias_jitter),
@@ -528,7 +493,7 @@ def reference_panel(builder: PanelBuilder, seed: SeedLike = None) -> FDVTPanel:
     cursor = 0
     for index in range(config.n_users):
         stop = cursor + int(row_counts[index])
-        age = int(ages[index])  # type: ignore[index]
+        age = int(ages[index])
         users.append(
             SyntheticUser(
                 user_id=index,
@@ -554,3 +519,118 @@ def reference_build_panel(
     )
     stage_seed = config.panel.seed if seed is None else derive_seed(seed, "panel")
     return reference_panel(builder, seed=stage_seed)
+
+
+# -- exact counting ----------------------------------------------------------------
+
+
+def prefix_audiences_loop(
+    backend,
+    id_matrix: np.ndarray,
+    counts: Sequence[int] | np.ndarray,
+    locations: Sequence[str] | None = None,
+) -> np.ndarray:
+    """``prefix_audiences_panel`` as one scalar ``audience_for`` call per cell."""
+    ids = np.asarray(id_matrix, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    result = np.full(ids.shape, np.nan, dtype=float)
+    for row in range(ids.shape[0]):
+        prefix = tuple(int(i) for i in ids[row, : counts[row]])
+        for k in range(len(prefix)):
+            result[row, k] = backend.audience_for(prefix[: k + 1], locations)
+    return result
+
+
+class ExactCountBackend:
+    """A reach backend counting the rows of ``columns`` exactly.
+
+    Each row stands for ``scale_factor`` real users.  AND demands every
+    distinct target interest, OR at least one; unknown locations match
+    nobody, and ``None``, an empty list or the worldwide sentinel match
+    everybody.
+    """
+
+    def __init__(self, columns: PanelColumns, scale_factor: float) -> None:
+        self.columns = columns
+        self.scale_factor = float(scale_factor)
+
+    def audience_for(
+        self,
+        interest_ids: Sequence[int],
+        locations: Sequence[str] | None = None,
+        *,
+        combine: str = "and",
+    ) -> float:
+        assert combine in ("and", "or"), combine
+        columns = self.columns
+        mask = np.ones(len(columns), dtype=bool)
+        if locations and WORLDWIDE not in locations:
+            allowed = np.isin(np.asarray(columns.country_codes), list(locations))
+            mask = allowed[columns.country_index]
+        if len(interest_ids):
+            targets = np.unique(np.asarray(list(interest_ids), dtype=np.int64))
+            hits = np.flatnonzero(np.isin(columns.interest_ids, targets))
+            rows = np.searchsorted(columns.indptr, hits, side="right") - 1
+            per_row = np.bincount(rows, minlength=len(columns))
+            mask &= (per_row == targets.size) if combine == "and" else (per_row > 0)
+        return int(mask.sum()) * self.scale_factor
+
+    def world_size(self, locations: Sequence[str] | None = None) -> float:
+        return self.audience_for((), locations)
+
+    def prefix_audiences_panel(
+        self,
+        id_matrix: np.ndarray,
+        counts: Sequence[int] | np.ndarray,
+        locations: Sequence[str] | None = None,
+    ) -> np.ndarray:
+        return prefix_audiences_loop(self, id_matrix, counts, locations)
+
+
+def reference_population(
+    catalog: InterestCatalog,
+    *,
+    n_agents: int,
+    median_interests: float,
+    max_interests: int,
+    seed: int,
+) -> PanelColumns:
+    """A seeded world of ``n_agents`` agents, one ``assign`` call per agent.
+
+    Countries follow the Facebook user counts of Appendix A, 46% of agents
+    are women, ages follow a gamma-shaped pyramid over 13-90, interest
+    counts a truncated log-normal, and each agent's interests come from
+    its own ``derive_generator(seed, "user", index)`` stream.
+    """
+    codes = tuple(country.code for country in TOP_50_COUNTRIES)
+    weights = np.array(
+        [country.fb_users_millions for country in TOP_50_COUNTRIES], dtype=float
+    )
+    country_index = derive_generator(seed, "countries").choice(
+        len(codes), size=n_agents, p=weights / weights.sum()
+    )
+    female = derive_generator(seed, "genders").random(n_agents) < 0.46
+    ages = 13 + derive_generator(seed, "ages").gamma(shape=3.2, scale=5.5, size=n_agents)
+    ages = np.clip(np.rint(ages), 13, 90).astype(int)
+    counts = InterestCountModel(
+        median=median_interests, log10_sigma=0.55, minimum=1, maximum=max_interests
+    ).clipped_to_catalog(len(catalog)).sample(
+        n_agents, derive_generator(seed, "interest-counts")
+    )
+    assigner = InterestAssigner(catalog)
+    users = []
+    for index in range(n_agents):
+        user_rng = derive_generator(seed, "user", index)
+        preferred = assigner.sample_preferred_topics(TOPICS_PER_USER, user_rng)
+        users.append(
+            SyntheticUser(
+                user_id=index,
+                country=codes[country_index[index]],
+                gender=Gender.FEMALE if female[index] else Gender.MALE,
+                age=int(ages[index]),
+                interest_ids=assigner.assign(
+                    int(counts[index]), user_rng, preferred_topics=preferred
+                ),
+            )
+        )
+    return PanelColumns.from_users(users)

@@ -8,9 +8,9 @@ Pins :meth:`InterestAssigner.assign_rows` — the kernel behind
   given as names or index arrays (including duplicates), default and
   per-row biases, and the multi-bias stacked-search path;
 * **shard parity** — :func:`run_interest_shard` matches the per-user
-  oracle ``oracles.run_interest_shard_reference`` for population- and
-  panel-shaped tasks (jittered biases, in-stream age draws) and is
-  invariant to how a row range is split into shards;
+  oracle ``oracles.run_interest_shard_reference`` (jittered biases,
+  in-stream age draws) and is invariant to how a row range is split into
+  shards;
 * **validation** — the kernel raises the same
   :class:`~repro.errors.PopulationError`\\ s as the scalar path;
 * **bounded state** — the per-assigner derived-table caches and the
@@ -193,45 +193,28 @@ class TestRowParity:
 class TestShardParity:
     """run_interest_shard vs its reference, and shard-split invariance."""
 
-    def _population_task(self, assigner, start, stop, counts):
-        return InterestShardTask(
-            assigner=assigner,
-            base_seed=101,
-            seed_key="user",
-            start=start,
-            stop=stop,
-            counts=counts[start:stop],
-            topics_per_user=TOPICS_PER_USER,
-        )
-
     def _panel_task(self, assigner, start, stop, counts):
         rng = np.random.default_rng(77)
         ages = rng.integers(0, 5, counts.size).astype(np.int16)
         return InterestShardTask(
             assigner=assigner,
             base_seed=202,
-            seed_key="panel-user",
             start=start,
             stop=stop,
             counts=counts[start:stop],
-            topics_per_user=TOPICS_PER_USER,
             age_group_index=ages[start:stop],
             base_bias=np.full(stop - start, 0.5),
             bias_jitter=0.1,
         )
 
-    @pytest.mark.parametrize("shape", ["_population_task", "_panel_task"])
-    def test_kernel_matches_reference(self, assigner, shape):
+    def test_kernel_matches_reference(self, assigner):
         counts = np.tile(RAGGED_COUNTS, 3)
-        task = getattr(self, shape)(assigner, 0, counts.size, counts)
+        task = self._panel_task(assigner, 0, counts.size, counts)
         flat_k, lens_k, ages_k = run_interest_shard(task)
         flat_r, lens_r, ages_r = run_interest_shard_reference(task)
         np.testing.assert_array_equal(flat_k, flat_r)
         np.testing.assert_array_equal(lens_k, lens_r)
-        if ages_r is None:
-            assert ages_k is None
-        else:
-            np.testing.assert_array_equal(ages_k, ages_r)
+        np.testing.assert_array_equal(ages_k, ages_r)
 
     @pytest.mark.parametrize("splits", [[36], [1, 7, 20, 36], [12, 24, 36]])
     def test_shard_splits_concatenate_identically(self, assigner, splits):

@@ -1,12 +1,12 @@
-"""Columnar population/panel parity suite.
+"""Columnar panel parity suite.
 
 Pins the contract of the columnar store: the CSR-backed
 :class:`~repro.population.columnar.PanelColumns` store, the sharded
-builders (:meth:`PopulationBuilder.build`, :meth:`PanelBuilder.build`) and
-the array-native query/collection paths are *bit-identical* to the
-per-user object oracles of ``tests/oracles.py`` — same users, same
-audience counts, same collection matrices, same ``CallStats``, same
-bootstrap cutpoints — for every execution backend and shard size.
+builder (:meth:`PanelBuilder.build`) and the array-native collection
+paths are *bit-identical* to the per-user object oracles of
+``tests/oracles.py`` — same users, same collection matrices, same
+``CallStats``, same bootstrap cutpoints — for every execution backend and
+shard size.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from repro import build_panel
 from repro.adsapi import AdsManagerAPI
-from repro.config import PanelConfig, PlatformConfig, PopulationConfig, UniquenessConfig
+from repro.config import PanelConfig, PlatformConfig, UniquenessConfig
 from repro.core import (
     AudienceAccumulator,
     AudienceSizeCollector,
@@ -35,8 +35,6 @@ from repro.population import (
     Gender,
     InterestAssigner,
     PanelColumns,
-    Population,
-    PopulationBuilder,
     SyntheticUser,
     classify_age_codes,
 )
@@ -117,112 +115,6 @@ class TestPanelColumns:
 
 
 @pytest.fixture(scope="module")
-def population_builder(tiny_catalog) -> PopulationBuilder:
-    config = PopulationConfig(
-        n_agents=150,
-        median_interests_per_user=25.0,
-        max_interests_per_user=120,
-        scale_factor=3.5,
-    )
-    return PopulationBuilder(tiny_catalog, config)
-
-
-@pytest.fixture(scope="module")
-def object_population(population_builder) -> Population:
-    return oracles.reference_population(population_builder, seed=17)
-
-
-@pytest.fixture(scope="module")
-def columnar_population(population_builder) -> Population:
-    return population_builder.build(seed=17)
-
-
-class TestPopulationParity:
-    def test_users_bit_identical(self, object_population, columnar_population):
-        assert columnar_population.users == object_population.users
-
-    def test_audience_queries_match(self, object_population, columnar_population):
-        probe = object_population.users[0].interest_ids[:3]
-        for combine in ("and", "or"):
-            assert object_population.matching_user_ids(
-                probe, combine=combine
-            ) == columnar_population.matching_user_ids(probe, combine=combine)
-            assert object_population.agent_count(
-                probe, combine=combine
-            ) == columnar_population.agent_count(probe, combine=combine)
-        assert object_population.audience_size(probe) == columnar_population.audience_size(probe)
-        assert (
-            object_population.interest_audiences()
-            == columnar_population.interest_audiences()
-        )
-        assert object_population.countries == columnar_population.countries
-
-    def test_demographic_filters_match(self, object_population, columnar_population):
-        assert object_population.matching_user_ids(
-            genders=(Gender.FEMALE,), age_groups=(AgeGroup.EARLY_ADULTHOOD,)
-        ) == columnar_population.matching_user_ids(
-            genders=(Gender.FEMALE,), age_groups=(AgeGroup.EARLY_ADULTHOOD,)
-        )
-        country = object_population.users[0].country
-        assert (
-            object_population.by_country(country).users
-            == columnar_population.by_country(country).users
-        )
-        assert (
-            object_population.by_gender(Gender.MALE).users
-            == columnar_population.by_gender(Gender.MALE).users
-        )
-
-    def test_location_filter_matches(self, object_population, columnar_population):
-        country = object_population.users[3].country
-        probe = object_population.users[3].interest_ids[:1]
-        assert object_population.matching_user_ids(
-            probe, (country,)
-        ) == columnar_population.matching_user_ids(probe, (country,))
-        # Unknown locations match nobody, worldwide matches everybody.
-        assert columnar_population.matching_user_ids(probe, ("XX",)) == set()
-        assert object_population.matching_user_ids(
-            probe, ("worldwide",)
-        ) == columnar_population.matching_user_ids(probe, ("worldwide",))
-
-    def test_subset_and_get_match(self, object_population, columnar_population):
-        wanted = [u.user_id for u in object_population.users[:7]]
-        assert (
-            object_population.subset(wanted).users
-            == columnar_population.subset(wanted).users
-        )
-        uid = wanted[3]
-        assert columnar_population.get(uid) == object_population.get(uid)
-        assert uid in columnar_population
-        with pytest.raises(PopulationError, match="unknown user id"):
-            columnar_population.get(10**9)
-
-    def test_columnar_queries_stay_lazy(self, population_builder):
-        population = population_builder.build(seed=23)
-        probe = (1, 2, 3)
-        population.matching_user_ids(probe)
-        population.agent_count(probe, combine="or")
-        population.interest_audiences()
-        population.by_gender(Gender.MALE)
-        assert population._users is None  # queries never touched objects
-        assert len(population.users) == 150
-        assert population._users is not None
-
-    def test_backend_and_shard_size_invariance(self, population_builder):
-        reference = population_builder.build(seed=31).columns
-        for backend, workers, shard_size in (
-            ("serial", 1, 7),
-            ("thread", 3, 64),
-            ("thread", 2, 1),
-        ):
-            executor = ShardExecutor(
-                backend=backend, workers=workers, shard_size=shard_size
-            )
-            produced = population_builder.build(seed=31, executor=executor).columns
-            assert produced.content_equals(reference)
-
-
-@pytest.fixture(scope="module")
 def panel_builder(tiny_catalog) -> PanelBuilder:
     config = PanelConfig(
         n_users=90,
@@ -295,7 +187,11 @@ class TestPanelParity:
 
     def test_backend_and_shard_size_invariance(self, panel_builder, object_panel):
         reference = object_panel.users
-        for backend, workers, shard_size in (("serial", 1, 11), ("thread", 4, 32)):
+        for backend, workers, shard_size in (
+            ("serial", 1, 11),
+            ("thread", 4, 32),
+            ("thread", 2, 1),
+        ):
             executor = ShardExecutor(
                 backend=backend, workers=workers, shard_size=shard_size
             )
@@ -303,12 +199,10 @@ class TestPanelParity:
             assert produced.users == reference
 
 
-@pytest.mark.parametrize("builder_name", ["population_builder", "panel_builder"])
-def test_generator_seed_builds_like_the_integer_it_draws(request, builder_name):
-    builder = request.getfixturevalue(builder_name)
+def test_generator_seed_builds_like_the_integer_it_draws(panel_builder):
     drawn = int(np.random.default_rng(3).integers(0, 2**62))
-    from_generator = builder.build(seed=np.random.default_rng(3)).columns
-    assert from_generator.content_equals(builder.build(seed=drawn).columns)
+    from_generator = panel_builder.build(seed=np.random.default_rng(3)).columns
+    assert from_generator.content_equals(panel_builder.build(seed=drawn).columns)
 
 
 def _stats_tuple(api: AdsManagerAPI):
@@ -466,15 +360,25 @@ def test_process_backend_generation_matches(tiny_catalog):
     from repro.config import CatalogConfig
     from repro.population import AssignerSpec
 
-    config = PopulationConfig(
-        n_agents=60, median_interests_per_user=15.0, max_interests_per_user=60
+    config = PanelConfig(
+        n_users=60,
+        n_men=40,
+        n_women=16,
+        n_gender_undisclosed=4,
+        n_adolescents=8,
+        n_early_adults=32,
+        n_adults=14,
+        n_matures=2,
+        n_age_undisclosed=4,
+        median_interests_per_user=15.0,
+        max_interests_per_user=60,
     )
     spec = AssignerSpec(
         catalog_config=CatalogConfig(n_interests=300, n_topics=6, seed=7),
         catalog_seed=7,
     )
     assigner = InterestAssigner(tiny_catalog, spec=spec)
-    builder = PopulationBuilder(tiny_catalog, config, assigner=assigner)
+    builder = PanelBuilder(tiny_catalog, config, assigner=assigner)
     reference = builder.build(seed=29).columns
     executor = ShardExecutor(backend="process", workers=2, shard_size=16)
     produced = builder.build(seed=29, executor=executor).columns

@@ -9,7 +9,6 @@ from repro.config import (
     ExperimentConfig,
     PanelConfig,
     PlatformConfig,
-    PopulationConfig,
     ReachModelConfig,
     ReproductionConfig,
     UniquenessConfig,
@@ -85,12 +84,6 @@ class TestPanelConfig:
     def test_age_counts_must_sum(self):
         with pytest.raises(ConfigurationError):
             PanelConfig(n_adolescents=2_390, n_early_adults=1)
-
-
-class TestPopulationConfig:
-    def test_scale_factor_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            PopulationConfig(scale_factor=0)
 
 
 class TestUniquenessConfig:

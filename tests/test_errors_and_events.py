@@ -15,7 +15,6 @@ class TestErrorHierarchy:
     def test_every_library_error_derives_from_repro_error(self):
         error_types = [
             errors.ConfigurationError,
-            errors.CalibrationError,
             errors.CatalogError,
             errors.UnknownInterestError,
             errors.PopulationError,

@@ -2,7 +2,7 @@
 
 These tests reproduce, at reduced scale, the qualitative results of the
 paper: the ordering of Table 1, the shape of Table 2, the consistency of the
-two reach backends, and the Section 6 defence loop (removing risky interests
+analytic reach model with exact counting, and the Section 6 defence loop (removing risky interests
 makes the user harder to nanotarget).
 """
 
@@ -15,8 +15,6 @@ from repro import build_simulation, quick_config
 from repro.adsapi import AdsManagerAPI, TargetingSpec
 from repro.config import PlatformConfig, UniquenessConfig
 from repro.core import LeastPopularSelection, RandomSelection, UniquenessModel
-from repro.population import PopulationBuilder, PopulationReachBackend
-from repro.config import PopulationConfig
 from repro.reach import country_codes
 from repro.simclock import SimClock
 
@@ -78,19 +76,19 @@ class TestUniquenessToNanotargetingConsistency:
 
 
 class TestBackendConsistency:
-    """The analytic model and the agent population implement the same semantics."""
+    """The analytic model and exact counting over agents share their semantics."""
 
     @pytest.fixture(scope="class")
     def backends(self, simulation):
-        config = PopulationConfig(
+        agents = oracles.reference_population(
+            simulation.catalog,
             n_agents=400,
-            scale_factor=simulation.reach_model.world_size() / 400,
-            median_interests_per_user=60.0,
-            max_interests_per_user=300,
+            median_interests=60.0,
+            max_interests=300,
             seed=3,
         )
-        population = PopulationBuilder(simulation.catalog, config).build(seed=3)
-        return simulation.reach_model, PopulationReachBackend(population)
+        scale = simulation.reach_model.world_size() / 400
+        return simulation.reach_model, oracles.ExactCountBackend(agents, scale)
 
     def test_world_sizes_match_by_construction(self, backends):
         analytic, agents = backends
@@ -125,8 +123,10 @@ class TestBackendConsistency:
         assert estimate.potential_reach >= api.platform.reach_floor
 
         # The agent backend has no vectorised kernel: the bulk and batch
-        # endpoints run on the protocol's looping prefix_audiences_panel.
-        interests = max(agents.population, key=lambda u: u.interest_count).interest_ids
+        # endpoints run on the oracle's per-cell prefix_audiences_panel loop.
+        interests = max(
+            agents.columns.to_users(), key=lambda u: u.interest_count
+        ).interest_ids
         rows = [interests[:6], (), interests[6:8], interests[8:13]]
         ids = np.full((len(rows), 6), -1, dtype=np.int64)
         for index, row in enumerate(rows):

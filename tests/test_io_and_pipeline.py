@@ -10,7 +10,8 @@ from repro import build_simulation, quick_config
 from repro.adsapi import AdsManagerAPI
 from repro.config import PlatformConfig, UniquenessConfig
 from repro.core import LeastPopularSelection, UniquenessModel
-from repro.errors import ReproError
+from repro.errors import PanelError, ReproError
+from repro.fdvt import FDVTPanel
 from repro.io import (
     experiment_report_to_dict,
     load_catalog,
@@ -21,12 +22,22 @@ from repro.io import (
     save_uniqueness_report,
     uniqueness_report_to_dict,
 )
+from repro.population import SyntheticUser
 from repro.reach import country_codes
 from repro.simclock import SimClock
 
 
 #: One valid catalog record, for building malformed variants.
 RECORD = {"interest_id": 1, "name": "x", "topic": "People", "audience_size": 5}
+
+#: One valid panel record, for building malformed variants.
+USER_RECORD = {
+    "user_id": 1,
+    "country": "ES",
+    "gender": "female",
+    "age": 30,
+    "interest_ids": [3, 2],
+}
 
 
 class TestCatalogSerialisation:
@@ -67,6 +78,51 @@ class TestPanelSerialisation:
         path = save_panel(tiny_panel, tmp_path / "panel.json")
         rebuilt = load_panel(path, tiny_catalog)
         assert rebuilt.to_dicts() == tiny_panel.to_dicts()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"gender": "x"},
+            {"user_id": "abc"},
+            {"age": 30.5},
+            {"interest_ids": [3, 2**31 + 5]},
+            {"interest_ids": [1.7]},
+            {"interest_ids": [float("inf")]},
+            {"interest_ids": [float("nan")]},
+            {"interest_ids": ["abc"]},
+            {"interest_ids": [None]},
+        ],
+        ids=[
+            "unknown-gender",
+            "text-user-id",
+            "fractional-age",
+            "id-beyond-int32",
+            "fractional-id",
+            "infinite-id",
+            "nan-id",
+            "text-id",
+            "null-id",
+        ],
+    )
+    def test_malformed_panel_record_is_a_malformed_file(
+        self, tiny_catalog, tmp_path, override
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"users": [{**USER_RECORD, **override}]}))
+        with pytest.raises(ReproError, match="malformed panel file"):
+            load_panel(path, tiny_catalog)
+
+    def test_integral_text_and_float_ids_load(self, tiny_catalog, tmp_path):
+        path = tmp_path / "panel.json"
+        record = {**USER_RECORD, "user_id": "4", "age": 30.0, "interest_ids": [7.0, "9"]}
+        path.write_text(json.dumps({"users": [record]}))
+        (user,) = load_panel(path, tiny_catalog).users
+        assert (user.user_id, user.age, user.interest_ids) == (4, 30, (7, 9))
+
+    def test_panel_rejects_ids_beyond_the_int32_store(self, tiny_catalog):
+        user = SyntheticUser(1, "ES", interest_ids=(3, 2**31 + 5))
+        with pytest.raises(PanelError, match="int32"):
+            FDVTPanel([user], tiny_catalog)
 
     def test_malformed_panel_raises(self, tiny_catalog, tmp_path):
         path = tmp_path / "bad.json"

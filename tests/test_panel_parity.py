@@ -109,11 +109,9 @@ class TestPrefixAudiencesPanel:
             model.prefix_audiences_panel(matrix, counts)
 
     def test_protocol_default_matches_vectorised_kernel(self, model, id_pool):
-        from repro.reach.backend import ReachBackend
-
         counts = np.array([0, 8, 3], dtype=np.int64)
         matrix = _ragged_matrix(id_pool, counts, 8)
-        fallback = ReachBackend.prefix_audiences_panel(model, matrix, counts)
+        fallback = oracles.prefix_audiences_loop(model, matrix, counts)
         assert np.array_equal(
             fallback, model.prefix_audiences_panel(matrix, counts), equal_nan=True
         )

@@ -1,4 +1,4 @@
-"""Tests for the agent-based population: users, demographics, assignment, counting."""
+"""Tests for synthetic users: demographics, interest counts and assignment."""
 
 from __future__ import annotations
 
@@ -6,40 +6,22 @@ import numpy as np
 import pytest
 
 from repro.catalog import InterestCatalog
-from repro.config import CatalogConfig, PopulationConfig
+from repro.config import CatalogConfig
 from repro.errors import PopulationError
 from repro.population import (
     AgeGroup,
     Gender,
     InterestAssigner,
     InterestCountModel,
-    Population,
-    PopulationBuilder,
-    PopulationReachBackend,
     SyntheticUser,
     classify_age,
     sample_age,
-    sample_ages,
-    sample_genders,
 )
-from repro.reach import WORLDWIDE, ReachBackend
 
 
 @pytest.fixture(scope="module")
 def small_catalog():
     return InterestCatalog.generate(CatalogConfig(n_interests=400, n_topics=8, seed=9))
-
-
-@pytest.fixture(scope="module")
-def small_population(small_catalog):
-    config = PopulationConfig(
-        n_agents=300,
-        scale_factor=100.0,
-        median_interests_per_user=40.0,
-        max_interests_per_user=150,
-        seed=5,
-    )
-    return PopulationBuilder(small_catalog, config).build(seed=5)
 
 
 class TestDemographics:
@@ -64,16 +46,6 @@ class TestDemographics:
 
     def test_sample_age_undisclosed_is_none(self):
         assert sample_age(AgeGroup.UNDISCLOSED, seed=1) is None
-
-    def test_sample_genders_length_and_values(self):
-        genders = sample_genders(100, seed=2)
-        assert len(genders) == 100
-        assert set(genders) <= {Gender.MALE, Gender.FEMALE}
-
-    def test_sample_ages_range(self):
-        ages = sample_ages(500, seed=3)
-        assert ages.min() >= 13
-        assert ages.max() <= 90
 
 
 class TestSyntheticUser:
@@ -172,76 +144,3 @@ class TestInterestAssigner:
     def test_invalid_boost_rejected(self, small_catalog):
         with pytest.raises(PopulationError):
             InterestAssigner(small_catalog, topic_affinity_boost=0.5)
-
-
-class TestPopulation:
-    def test_builder_produces_requested_agents(self, small_population):
-        assert len(small_population) == 300
-        assert small_population.scale_factor == 100.0
-
-    def test_users_have_interests_and_countries(self, small_population):
-        user = small_population.users[0]
-        assert user.interest_count >= 1
-        assert user.country
-
-    def test_audience_counting_and_scaling(self, small_population):
-        audiences = small_population.interest_audiences()
-        interest_id, agent_count = max(audiences.items(), key=lambda item: item[1])
-        assert small_population.agent_count([interest_id]) == agent_count
-        assert small_population.audience_size([interest_id]) == agent_count * 100.0
-
-    def test_and_combination_never_larger_than_single(self, small_population):
-        user = max(small_population.users, key=lambda u: u.interest_count)
-        pair = list(user.interest_ids[:2])
-        both = small_population.agent_count(pair)
-        single = small_population.agent_count(pair[:1])
-        assert both <= single
-        assert both >= 1  # the user themselves matches
-
-    def test_or_combination_at_least_as_large_as_and(self, small_population):
-        user = max(small_population.users, key=lambda u: u.interest_count)
-        pair = list(user.interest_ids[:2])
-        assert small_population.agent_count(pair, combine="or") >= small_population.agent_count(pair)
-
-    def test_location_filter(self, small_population):
-        country = small_population.users[0].country
-        national = small_population.agent_count((), [country])
-        assert 0 < national <= len(small_population)
-        assert small_population.agent_count((), [WORLDWIDE]) == len(small_population)
-
-    def test_demographic_subsets_partition(self, small_population):
-        men = small_population.by_gender(Gender.MALE)
-        women = small_population.by_gender(Gender.FEMALE)
-        assert len(men) + len(women) == len(small_population)
-
-    def test_subset_by_country(self, small_population):
-        country = small_population.users[0].country
-        national = small_population.by_country(country)
-        assert all(user.country == country for user in national)
-
-    def test_unknown_user_raises(self, small_population):
-        with pytest.raises(PopulationError):
-            small_population.get(10**9)
-
-    def test_duplicate_user_ids_rejected(self):
-        user = SyntheticUser(1, "ES", interest_ids=(1,))
-        with pytest.raises(PopulationError):
-            Population([user, user])
-
-    def test_invalid_combine_mode_rejected(self, small_population):
-        with pytest.raises(PopulationError):
-            small_population.agent_count([1], combine="xor")
-
-
-class TestPopulationReachBackend:
-    def test_implements_protocol(self, small_population):
-        backend = PopulationReachBackend(small_population)
-        assert isinstance(backend, ReachBackend)
-
-    def test_counts_are_scaled(self, small_population):
-        backend = PopulationReachBackend(small_population)
-        assert backend.world_size() == len(small_population) * 100.0
-        interest_id = next(iter(small_population.interest_audiences()))
-        assert backend.audience_for([interest_id]) == small_population.audience_size(
-            [interest_id]
-        )

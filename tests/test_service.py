@@ -23,6 +23,7 @@ import pytest
 from _builders import build_cached_simulation, fresh_legacy_api, fresh_modern_api
 
 from repro.adsapi import AdsManagerAPI
+from repro.config import PlatformConfig
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -46,6 +47,7 @@ from repro.service import (
     direct_reach,
     run_trace,
 )
+from repro.simclock import SimClock
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +516,53 @@ class TestAccountSuspension:
             assert (breaker["state"], breaker["consecutive_failures"]) == ("closed", 0)
         later = service.submit(request_for(interest_pool, tenant="a"))
         assert (later.status, later.detail) == ("invalid", SUSPENDED)
+
+
+class TestApiRateLimitAtTick:
+    def test_api_without_auto_wait_throttles_every_popped_entry(
+        self, simulation, interest_pool
+    ):
+        api = AdsManagerAPI(
+            simulation.reach_model,
+            platform=PlatformConfig.modern_2020(),
+            clock=SimClock(),
+            auto_wait=False,
+        )
+        # No fault plan: the ambient chaos lane must not reorder the ticks.
+        service = ReachService(api, retry=RetryPolicy(max_attempts=1))
+        requests = [
+            request_for(interest_pool, tenant=f"t{i % 4}", n=8, offset=8 * i)
+            for i in range(24)
+        ]
+        for request in requests:
+            assert service.submit(request) is None
+        # One tick pops 64 cells against the API's burst of 60 tokens.
+        responses = service.tick()
+        assert [r.request for r in responses] == requests[:8]
+        assert {r.status for r in responses} == {"throttled"}
+        assert all(r.retry_after_seconds > 0 for r in responses)
+        assert all(r.detail.startswith("rate limit exceeded") for r in responses)
+        assert service.queue_depth == 16
+        counters = service.counters
+        assert (
+            counters.shed_throttled,
+            counters.completed,
+            counters.failed,
+            counters.batches,
+        ) == (8, 0, 0, 0)
+        assert api.call_stats().reach_estimates == 0
+        for tenant in ("t0", "t1", "t2", "t3"):
+            breaker = service.stats()["tenants"][tenant]["breaker"]
+            assert (breaker["state"], breaker["consecutive_failures"]) == ("closed", 0)
+        # The API's clock never moves without auto_wait, so every later
+        # tick is throttled too, and every admitted request is answered once.
+        responses += service.run_until_idle()
+        assert len(responses) == 24
+        assert {r.request for r in responses} == set(requests)
+        assert {r.status for r in responses} == {"throttled"}
+        assert service.counters.shed_throttled == 24
+        with pytest.raises(TenantThrottledError):
+            responses[-1].raise_for_status()
 
 
 class TestServiceParity:
