@@ -40,8 +40,8 @@ the hot paths industrialised by the batched pipeline —
   million-user acceptance run),
 
 * the **assignment-rate stage** (the batched ``assign_rows`` interest
-  kernel vs the oracle's per-user ``assign`` loop on one panel-shaped
-  shard, outputs hard-checked bit-identical; ``--min-assign-rate`` /
+  kernel vs the oracle's per-user ``ReferenceAssigner`` loop on one
+  panel-shaped shard, outputs hard-checked bit-identical; ``--min-assign-rate`` /
   ``--min-assign-gain`` gate the kernel's users/s and its speedup),
 
 * the **cold-start stage** (hydrating the panel from the disk-backed
@@ -343,8 +343,8 @@ def _assignment_stage(config, catalog) -> dict:
 
     Times :func:`~repro.population.generation.run_interest_shard` (the
     batched ``assign_rows`` kernel) against the oracle
-    ``oracles.run_interest_shard_reference`` (the per-user ``assign``
-    loop) on one panel-shaped shard —
+    ``oracles.run_interest_shard_reference`` (the per-user
+    ``ReferenceAssigner.assign`` loop) on one panel-shaped shard —
     jittered per-row biases, per-row age draws, preferred-topic draws —
     and hard-checks the outputs bit-identical.  ``--min-assign-rate`` /
     ``--min-assign-gain`` gate the kernel's users/s and its speedup.

@@ -19,8 +19,8 @@ users need more random interests to become unique) emerge from the data.
 
 Every panel is backed by one
 :class:`~repro.population.columnar.PanelColumns` store.
-:meth:`PanelBuilder.build` generates it directly (its per-user interest
-shards run through the batched
+:meth:`PanelBuilder.build` generates it directly (its interest shards
+run through the batched
 :meth:`~repro.population.assignment.InterestAssigner.assign_rows` kernel;
 see :mod:`repro.population.generation`'s stream contract), and a panel
 built from user objects (:class:`FDVTPanel` itself, :meth:`FDVTPanel.from_dicts`)

@@ -14,7 +14,13 @@ from typing import Any
 from ..catalog import InterestCatalog
 from ..core.nanotargeting import ExperimentReport
 from ..core.results import UniquenessReport
-from ..errors import CatalogError, PanelError, PopulationError, ReproError
+from ..errors import (
+    CatalogError,
+    PanelError,
+    PopulationError,
+    ReproError,
+    UnknownInterestError,
+)
 from ..fdvt.panel import FDVTPanel
 
 
@@ -65,15 +71,20 @@ def save_panel(panel: FDVTPanel, path: Path | str) -> Path:
 def load_panel(path: Path | str, catalog: InterestCatalog) -> FDVTPanel:
     """Load a panel previously saved with :func:`save_panel`.
 
-    A record that does not rebuild (a missing field, an unknown gender, a
-    non-integral id or age, an interest id beyond the store's int32) is a
-    malformed file.
+    A record that does not rebuild (a missing field, a country that is not
+    a non-empty string, an unknown gender, a non-integral id or age, an
+    interest id beyond the store's int32) or that names an interest
+    ``catalog`` lacks is a malformed file.
     """
     payload = _read_json(path, "panel")
     try:
-        return FDVTPanel.from_dicts(payload["users"], catalog)
-    except (KeyError, TypeError, PopulationError, PanelError) as exc:
+        panel = FDVTPanel.from_dicts(payload["users"], catalog)
+        catalog.positions(panel.columns.interest_ids)
+    except (
+        KeyError, TypeError, PopulationError, PanelError, UnknownInterestError
+    ) as exc:
         raise ReproError(f"malformed panel file: {path} ({exc})") from exc
+    return panel
 
 
 # -- reports --------------------------------------------------------------------------

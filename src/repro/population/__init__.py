@@ -1,4 +1,7 @@
-"""Synthetic Facebook users: demographics, interest assignment and the columnar store."""
+"""Synthetic Facebook users.
+
+Demographics, the batched interest-assignment kernel and the columnar store.
+"""
 
 from .assignment import InterestAssigner
 from .columnar import AGE_UNDISCLOSED, PanelColumns, classify_age_codes

@@ -37,7 +37,7 @@ Bridge contract
 inverses: round-tripping reproduces the same ``SyntheticUser`` tuples
 bit-for-bit (ids, countries, genders, ages, interest order).  Builders
 guarantee the stronger property that ``build(seed)`` decodes to exactly the
-users one ``assign`` call per user would construct, because the batched
+users a per-user reference loop would construct, because the batched
 kernel consumes the same per-user RNG streams (see
 :mod:`repro.population.generation`).
 """
@@ -320,16 +320,3 @@ class PanelColumns:
         mine = np.asarray(self.country_codes, dtype=object)[self.country_index]
         theirs = np.asarray(other.country_codes, dtype=object)[other.country_index]
         return bool(np.array_equal(mine, theirs))
-
-    def validate_rows(self) -> None:
-        """Expensive invariant check: no duplicate interests within a row.
-
-        Not part of construction (builders and the object bridge guarantee
-        it); tests call it explicitly.
-        """
-        for row in range(len(self)):
-            ids = self.interest_row(row)
-            if np.unique(ids).shape[0] != ids.shape[0]:
-                raise PopulationError(
-                    f"row {row} contains duplicate interest ids"
-                )

@@ -36,22 +36,20 @@ consumed in exactly this order:
    ``[0.1, 0.95]``;
 3. **preferred topics** — one
    ``rng.choice(n_topics, size=TOPICS_PER_USER, replace=False)`` draw;
-4. **assignment** — the :meth:`InterestAssigner.assign
-   <repro.population.assignment.InterestAssigner.assign>` attempt loop:
-   per attempt one topic draw block (``rng.choice(..., p=...)``, i.e. one
-   uniform block against the topic CDF) followed by one
-   ``rng.random(batch)`` block for the within-topic draws; on exhaustion,
-   one ``rng.shuffle`` of the not-yet-assigned id list.
+4. **assignment** — up to 40 attempts, each one topic draw block
+   (``rng.choice(..., p=...)``, i.e. one uniform block against the topic
+   CDF) followed by one ``rng.random(batch)`` block for the within-topic
+   draws; on exhaustion, one ``rng.shuffle`` of the not-yet-assigned ids.
+   ``oracles.ReferenceAssigner.assign`` in ``tests/oracles.py`` states
+   this stage for one user at a time.
 
 :func:`run_interest_shard` runs stages 1–3 row by row, parks each row's
 live generator, then hands the whole shard to the batched
 :meth:`InterestAssigner.assign_rows
 <repro.population.assignment.InterestAssigner.assign_rows>` kernel for
 stage 4 — the per-row streams never merge (each row's generator advances
-exactly as one ``assign`` call per row would), only the bookkeeping between
-draws is hoisted and vectorised.  The per-user ``assign`` loop is kept as
-the parity suite's oracle (``tests/oracles.py``), which pins the two
-bit-for-bit.
+exactly as the per-user reference's would), only the bookkeeping between
+draws is batched across rows.  The parity suite pins the two bit for bit.
 """
 
 from __future__ import annotations
@@ -103,7 +101,6 @@ class AssignerSpec:
     catalog_config: Any
     catalog_seed: int | None
     topic_affinity_boost: float = 4.0
-    default_popularity_bias: float = 0.5
     world_population: float | None = None
 
     def fingerprint(self) -> str:
@@ -113,7 +110,6 @@ class AssignerSpec:
             {
                 "catalog": self._catalog_key(),
                 "topic_affinity_boost": float(self.topic_affinity_boost),
-                "default_popularity_bias": float(self.default_popularity_bias),
             },
         )
 
@@ -157,7 +153,6 @@ class AssignerSpec:
         return InterestAssigner(
             catalog,
             topic_affinity_boost=self.topic_affinity_boost,
-            default_popularity_bias=self.default_popularity_bias,
             spec=self,
         )
 
@@ -263,11 +258,9 @@ def run_interest_shard(
 
     ``flat_ids`` is the shard's CSR fragment (``int32``), ``row_counts``
     the per-row lengths, and ``ages`` the sampled ``int16`` ages
-    (``AGE_UNDISCLOSED`` for undisclosed rows).  Bit-identical to one
-    :meth:`~repro.population.assignment.InterestAssigner.assign` call per
-    row: each per-user stream is consumed in exactly the documented order
-    (see the module docstring's stream contract) — stages 1–3 row by
-    row, stage 4 through the batched
+    (``AGE_UNDISCLOSED`` for undisclosed rows).  Each per-user stream is
+    consumed in exactly the documented order (see the module docstring's
+    stream contract) — stages 1–3 row by row, stage 4 through the batched
     :meth:`~repro.population.assignment.InterestAssigner.assign_rows`
     kernel.
     """

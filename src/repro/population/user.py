@@ -96,18 +96,21 @@ class SyntheticUser:
 
         The user id, a disclosed age and every interest id must be
         integral (:func:`~repro.catalog.interest.integral`: ``7.0`` and
-        ``"7"`` load, ``1.7`` and ``"abc"`` do not) and the gender one of
-        :class:`Gender`'s values; a value that breaks these rules raises
-        :class:`PopulationError`.
+        ``"7"`` load, ``1.7`` and ``"abc"`` do not), the country a non-empty
+        string and the gender one of :class:`Gender`'s values; a value that
+        breaks these rules raises :class:`PopulationError`.
         """
         try:
             gender = Gender(data.get("gender", Gender.UNDISCLOSED.value))
         except ValueError:
             raise PopulationError(f"unknown gender: {data['gender']!r}") from None
+        country = data["country"]
+        if not isinstance(country, str):
+            raise PopulationError(f"country must be a string, not {country!r}")
         age = data.get("age")
         return SyntheticUser(
             user_id=integral(data["user_id"], "user_id", PopulationError),
-            country=str(data["country"]),
+            country=country,
             gender=gender,
             age=None if age is None else integral(age, "age", PopulationError),
             interest_ids=tuple(

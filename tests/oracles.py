@@ -18,7 +18,12 @@ kept out of ``src/`` because nothing but the parity checks runs it:
   row gather, a sort-based quantile pass over the whole stack and a fit of
   every column, per chunk; ``repro.core.bootstrap_cutpoints`` is pinned
   against it bit for bit;
-* :func:`run_interest_shard_reference` — one ``InterestAssigner.assign``
+* :class:`ReferenceAssigner` — interest assignment one user at a time
+  (``rng.choice`` topic draws, one uniform slice per drawn topic, a
+  ``seen`` set, a shuffled list top-up); the batched
+  ``InterestAssigner.assign_rows`` kernel is pinned against it bit for
+  bit;
+* :func:`run_interest_shard_reference` — one ``ReferenceAssigner.assign``
   call per row, the executable statement of the stream contract in
   :mod:`repro.population.generation`;
 * :func:`reference_panel` — ``PanelBuilder.build`` as a per-user loop that
@@ -44,6 +49,7 @@ on ``sys.path``, from ``benchmarks/bench_perf_hot_paths.py``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import fields
 from typing import Sequence
 
@@ -72,7 +78,7 @@ from repro.core import (
     fit_vas_many,
     masked_column_quantiles,
 )
-from repro.errors import CatalogError, UnknownInterestError
+from repro.errors import CatalogError, PopulationError, UnknownInterestError
 from repro.fdvt import FDVTPanel, PanelBuilder
 from repro.fdvt.panel import _bias_table
 from repro.population import (
@@ -431,16 +437,153 @@ def bootstrap_cutpoints_reference(
 # -- generation --------------------------------------------------------------------
 
 
+class ReferenceAssigner:
+    """``InterestAssigner.assign_rows`` one user at a time.
+
+    The plainest statement of stream stage 4 for one user: per attempt one
+    ``rng.choice(p=...)`` topic draw, then one ``rng.random`` block handed
+    out to the drawn topics in ascending topic order, each topic's slice
+    searched in that topic's ``audience ** bias`` CDF; the first occurrence
+    of every id is kept, and a user still short after 40 attempts tops up
+    from a shuffled list of the ids it lacks.  Preferred topics are given
+    by name (a repeated name is boosted once per occurrence) and a bias of
+    ``None`` means 0.5.
+    """
+
+    def __init__(
+        self, catalog: InterestCatalog, *, topic_affinity_boost: float = 4.0
+    ) -> None:
+        self.catalog = catalog
+        self.topics = catalog.topics()
+        self._boost = float(topic_affinity_boost)
+        self._topic_index = {topic: index for index, topic in enumerate(self.topics)}
+        by_topic = [catalog.by_topic(topic) for topic in self.topics]
+        self._topic_ids = [
+            np.array([i.interest_id for i in interests], dtype=np.int64)
+            for interests in by_topic
+        ]
+        self._topic_audiences = [
+            np.array([i.audience_size for i in interests], dtype=float)
+            for interests in by_topic
+        ]
+        self._tables: dict[float, tuple[np.ndarray, list[np.ndarray]]] = {}
+        self._probabilities: dict[tuple[tuple[int, ...], float], np.ndarray] = {}
+
+    @classmethod
+    def of(cls, assigner: InterestAssigner) -> "ReferenceAssigner":
+        """The reference for ``assigner``'s catalog and boost, built once."""
+        reference = _REFERENCES.get(assigner)
+        if reference is None:
+            reference = _REFERENCES[assigner] = cls(
+                assigner.catalog, topic_affinity_boost=assigner._boost
+            )
+        return reference
+
+    def sample_preferred_topics(
+        self, n_topics: int, seed: SeedLike = None
+    ) -> tuple[str, ...]:
+        """``n_topics`` distinct preferred topic names (the kernel draws indices)."""
+        rng = as_generator(seed)
+        count = min(n_topics, len(self.topics))
+        chosen = rng.choice(len(self.topics), size=count, replace=False)
+        return tuple(self.topics[int(i)] for i in chosen)
+
+    def assign(
+        self,
+        n_interests: int,
+        seed: SeedLike = None,
+        *,
+        preferred_topics: Sequence[str] | None = None,
+        popularity_bias: float | None = None,
+    ) -> tuple[int, ...]:
+        """``n_interests`` distinct interest ids in first-occurrence order."""
+        if n_interests < 0:
+            raise PopulationError("n_interests must be non-negative")
+        rng = as_generator(seed)
+        n_interests = min(n_interests, len(self.catalog))
+        if n_interests == 0:
+            return ()
+        bias = 0.5 if popularity_bias is None else float(popularity_bias)
+        bias = round(max(0.0, bias), 3)
+        topic_probs = self._topic_probabilities(preferred_topics or (), bias)
+        chosen: list[int] = []
+        seen: set[int] = set()
+        attempts = 0
+        while len(chosen) < n_interests and attempts < 40:
+            attempts += 1
+            needed = n_interests - len(chosen)
+            batch = max(needed, int(needed * 1.25) + 4)
+            topic_draws = rng.choice(len(self.topics), size=batch, p=topic_probs)
+            topics, topic_counts = np.unique(topic_draws, return_counts=True)
+            # One uniform block, sliced per topic in ascending topic order.
+            uniforms = rng.random(int(topic_counts.sum()))
+            offset = 0
+            for topic, count in zip(topics.tolist(), topic_counts.tolist()):
+                ids = self._draw_within_topic(
+                    topic, uniforms[offset : offset + count], bias
+                )
+                offset += count
+                for interest_id in ids.tolist():
+                    if interest_id not in seen:
+                        seen.add(interest_id)
+                        chosen.append(interest_id)
+        if len(chosen) < n_interests:
+            remaining = [
+                int(i) for i in self.catalog.interest_ids if int(i) not in seen
+            ]
+            rng.shuffle(remaining)
+            chosen.extend(remaining[: n_interests - len(chosen)])
+        return tuple(chosen[:n_interests])
+
+    def _topic_probabilities(
+        self, preferred_topics: Sequence[str], bias: float
+    ) -> np.ndarray:
+        indices = sorted(self._topic_index[topic] for topic in preferred_topics)
+        key = (tuple(indices), bias)
+        probs = self._probabilities.get(key)
+        if probs is None:
+            weights = self._bias_tables(bias)[0].copy()
+            for index in key[0]:
+                weights[index] *= self._boost
+            probs = self._probabilities[key] = weights / weights.sum()
+        return probs
+
+    def _bias_tables(self, bias: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each topic's total ``audience ** bias`` weight and within-topic CDF."""
+        tables = self._tables.get(bias)
+        if tables is None:
+            powered = [np.power(audiences, bias) for audiences in self._topic_audiences]
+            cumulative = [np.cumsum(weights) for weights in powered]
+            tables = self._tables[bias] = (
+                np.array([weights.sum() for weights in powered]),
+                [cdf / cdf[-1] for cdf in cumulative],
+            )
+        return tables
+
+    def _draw_within_topic(
+        self, topic: int, uniforms: np.ndarray, bias: float
+    ) -> np.ndarray:
+        cdf = self._bias_tables(bias)[1][topic]
+        positions = np.searchsorted(cdf, uniforms, side="right")
+        return self._topic_ids[topic][np.minimum(positions, cdf.size - 1)]
+
+
+#: One reference per live assigner, so repeated oracle runs share tables.
+_REFERENCES: "weakref.WeakKeyDictionary[InterestAssigner, ReferenceAssigner]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def run_interest_shard_reference(
     task: InterestShardTask,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-user reference of :func:`repro.population.run_interest_shard`.
 
-    One :meth:`~repro.population.InterestAssigner.assign` call per row on
-    the row's own generator, consuming the stream in the documented order
-    (age draw, bias jitter, preferred topics, assignment).
+    One :meth:`ReferenceAssigner.assign` call per row on the row's own
+    generator, consuming the stream in the documented order (age draw, bias
+    jitter, preferred topics, assignment).
     """
-    assigner = resolve_assigner(task.assigner)
+    assigner = ReferenceAssigner.of(resolve_assigner(task.assigner))
     n_rows = task.stop - task.start
     row_counts = np.empty(n_rows, dtype=np.int64)
     ages = np.full(n_rows, AGE_UNDISCLOSED, dtype=np.int16)
@@ -600,7 +743,8 @@ def reference_population(
     Countries follow the Facebook user counts of Appendix A, 46% of agents
     are women, ages follow a gamma-shaped pyramid over 13-90, interest
     counts a truncated log-normal, and each agent's interests come from
-    its own ``derive_generator(seed, "user", index)`` stream.
+    its own ``derive_generator(seed, "user", index)`` stream at the
+    default bias.
     """
     codes = tuple(country.code for country in TOP_50_COUNTRIES)
     weights = np.array(
@@ -617,7 +761,7 @@ def reference_population(
     ).clipped_to_catalog(len(catalog)).sample(
         n_agents, derive_generator(seed, "interest-counts")
     )
-    assigner = InterestAssigner(catalog)
+    assigner = ReferenceAssigner(catalog)
     users = []
     for index in range(n_agents):
         user_rng = derive_generator(seed, "user", index)

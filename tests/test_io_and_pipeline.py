@@ -91,6 +91,10 @@ class TestPanelSerialisation:
             {"interest_ids": [float("nan")]},
             {"interest_ids": ["abc"]},
             {"interest_ids": [None]},
+            {"country": None},
+            {"country": 34},
+            {"interest_ids": [3, -5]},
+            {"interest_ids": [10**6, 2]},
         ],
         ids=[
             "unknown-gender",
@@ -102,6 +106,10 @@ class TestPanelSerialisation:
             "nan-id",
             "text-id",
             "null-id",
+            "null-country",
+            "numeric-country",
+            "negative-id-not-in-catalog",
+            "id-not-in-catalog",
         ],
     )
     def test_malformed_panel_record_is_a_malformed_file(

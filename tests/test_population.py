@@ -100,46 +100,59 @@ class TestInterestCountModel:
         assert clipped.median <= 50
 
 
+def assign_one(assigner, n, seed, *, preferred=(0, 1, 2), bias=0.5):
+    """One ``assign_rows`` row on ``default_rng(seed)``; returns its ids."""
+    flat, counts = assigner.assign_rows(
+        np.array([n]),
+        [np.random.default_rng(seed)],
+        preferred_topics=[np.array(preferred, dtype=np.int64)],
+        popularity_biases=[bias],
+    )
+    assert counts.tolist() == [flat.size]
+    return flat
+
+
 class TestInterestAssigner:
     def test_assigns_requested_number_of_unique_interests(self, small_catalog):
-        assigner = InterestAssigner(small_catalog)
-        interests = assigner.assign(50, seed=1)
+        interests = assign_one(InterestAssigner(small_catalog), 50, 1)
         assert len(interests) == 50
-        assert len(set(interests)) == 50
+        assert len(set(interests.tolist())) == 50
 
     def test_never_exceeds_catalog_size(self, small_catalog):
-        assigner = InterestAssigner(small_catalog)
-        interests = assigner.assign(10_000, seed=1)
+        interests = assign_one(InterestAssigner(small_catalog), 10_000, 1)
         assert len(interests) == len(small_catalog)
+        assert set(interests.tolist()) == set(small_catalog.ids.tolist())
 
     def test_zero_interests(self, small_catalog):
-        assert InterestAssigner(small_catalog).assign(0, seed=1) == ()
+        assert assign_one(InterestAssigner(small_catalog), 0, 1).size == 0
 
     def test_deterministic_given_seed(self, small_catalog):
         assigner = InterestAssigner(small_catalog)
-        assert assigner.assign(30, seed=9) == assigner.assign(30, seed=9)
+        np.testing.assert_array_equal(
+            assign_one(assigner, 30, 9), assign_one(assigner, 30, 9)
+        )
 
     def test_preferred_topics_are_overrepresented(self, small_catalog):
         assigner = InterestAssigner(small_catalog, topic_affinity_boost=12.0)
-        preferred = assigner.topics[:1]
-        interests = assigner.assign(80, seed=3, preferred_topics=preferred)
-        topics = [small_catalog.get(i).topic for i in interests]
-        share = topics.count(preferred[0]) / len(topics)
-        baseline = len(small_catalog.by_topic(preferred[0])) / len(small_catalog)
+        interests = assign_one(assigner, 80, 3, preferred=(0,))
+        preferred = assigner.topics[0]
+        topics = [small_catalog.get(i).topic for i in interests.tolist()]
+        share = topics.count(preferred) / len(topics)
+        baseline = len(small_catalog.by_topic(preferred)) / len(small_catalog)
         assert share > baseline * 2
 
     def test_popularity_bias_shifts_audience_profile(self, small_catalog):
         assigner = InterestAssigner(small_catalog)
-        flat = assigner.assign(60, seed=4, popularity_bias=0.0)
-        steep = assigner.assign(60, seed=4, popularity_bias=1.2)
-        flat_median = np.median(small_catalog.audience_sizes(flat))
-        steep_median = np.median(small_catalog.audience_sizes(steep))
+        flat = assign_one(assigner, 60, 4, bias=0.0)
+        steep = assign_one(assigner, 60, 4, bias=1.2)
+        flat_median = np.median(small_catalog.audience_sizes(flat.tolist()))
+        steep_median = np.median(small_catalog.audience_sizes(steep.tolist()))
         assert steep_median >= flat_median
 
     def test_unknown_preferred_topic_rejected(self, small_catalog):
         assigner = InterestAssigner(small_catalog)
-        with pytest.raises(PopulationError):
-            assigner.assign(10, seed=1, preferred_topics=["Not a topic"])
+        with pytest.raises(PopulationError, match="unknown preferred topic"):
+            assign_one(assigner, 10, 1, preferred=(len(assigner.topics),))
 
     def test_invalid_boost_rejected(self, small_catalog):
         with pytest.raises(PopulationError):
