@@ -30,7 +30,8 @@ the hot paths industrialised by the batched pipeline —
 * the **reach service** (the always-on ``repro.service`` loop: a healthy
   trace at half capacity for sustained throughput and P50/P99 latency,
   then a 2x-overload trace under chaos for shed rate and admitted-P99 —
-  every served answer hard-checked against a direct bulk call),
+  every served answer hard-checked against a direct bulk call, and every
+  healthy answer against the floored ``oracles.prefix_audiences``),
 * the **columnar scale stage** (``--scale-users`` panellists built straight
   into the CSR column store via the sharded generation path, then collected
   shard-by-shard and bootstrapped off the streamed accumulator — measuring
@@ -82,7 +83,7 @@ from repro import (
 )
 from repro._rng import as_generator, derive_generator
 from repro.cache import BuildCache, DiskCache, build_cache
-from repro.adsapi import AdsManagerAPI
+from repro.adsapi import AdsManagerAPI, apply_reporting_floor
 from repro.config import PlatformConfig, UniquenessConfig
 from repro.core import (
     AudienceAccumulator,
@@ -230,7 +231,9 @@ def _service_stage(simulation) -> dict:
     overload run (twice capacity, chaos plan active) measures graceful
     degradation: typed rejections, shed rate, and the admitted-P99 bound.
     Both runs hard-check bit-parity of every served answer against a
-    direct ``estimate_reach_matrix`` call on a fresh API.
+    direct ``estimate_reach_matrix`` call on a fresh API; the healthy run's
+    answers are also checked against the floored per-list oracle, so a
+    kernel that drifts from ``oracles.prefix_audiences`` fails the stage.
     """
 
     def modern_api() -> AdsManagerAPI:
@@ -249,6 +252,15 @@ def _service_stage(simulation) -> dict:
         default_timeout_seconds=10.0,
     )
     capacity_rps = SERVICE_BATCH_CELLS / SERVICE_TICK_SECONDS / SERVICE_MEAN_COST
+    floor = PlatformConfig.modern_2020().reach_floor
+
+    def oracle_values(request) -> tuple[float, ...]:
+        raw = oracles.prefix_audiences(
+            simulation.reach_model, request.interests, config.locations
+        )
+        return tuple(
+            float(apply_reporting_floor(value, floor).potential_reach) for value in raw
+        )
 
     def run(load: float, faults: FaultPlan | None):
         service = ReachService(modern_api(), config=config, faults=faults)
@@ -277,9 +289,10 @@ def _service_stage(simulation) -> dict:
             "latency_p99_seconds": summary["latency_p99_seconds"],
         }
         parity_ok = not report.parity_failures(modern_api())
-        return digest, parity_ok
+        return digest, parity_ok, report
 
-    healthy, healthy_parity = run(0.5, None)
+    healthy, healthy_parity, healthy_report = run(0.5, None)
+    oracle_parity = not healthy_report.parity_failures(oracle_values)
     print(
         f"  {'healthy (0.5x capacity)':<38s} {healthy['wall_seconds'] * 1000.0:10.1f} ms"
     )
@@ -289,7 +302,7 @@ def _service_stage(simulation) -> dict:
         f"p50 {healthy['latency_p50_seconds']:g}s  "
         f"p99 {healthy['latency_p99_seconds']:g}s"
     )
-    overload, overload_parity = run(2.0, SERVICE_CHAOS)
+    overload, overload_parity, _ = run(2.0, SERVICE_CHAOS)
     print(
         f"  {'overload (2x capacity + chaos)':<38s} "
         f"{overload['wall_seconds'] * 1000.0:10.1f} ms"
@@ -308,6 +321,7 @@ def _service_stage(simulation) -> dict:
     )
     print(f"  served answers bit-identical to direct calls: "
           f"{healthy_parity and overload_parity}")
+    print(f"  healthy answers bit-identical to the floored oracle: {oracle_parity}")
     print(f"  typed shedding under overload: {sheds_typed}")
     return {
         "capacity_rps": capacity_rps,
@@ -317,6 +331,7 @@ def _service_stage(simulation) -> dict:
         "overload": overload,
         "parity": {
             "service_parity": healthy_parity,
+            "service_oracle_parity": oracle_parity,
             "service_chaos_parity": overload_parity,
             "service_sheds_typed_under_overload": sheds_typed,
         },

@@ -93,11 +93,10 @@ def apply_reporting_floor_matrix(raw_matrix: np.ndarray, floor: int) -> np.ndarr
     if floor < 1:
         raise AdsApiError("floor must be at least 1")
     raw = np.asarray(raw_matrix, dtype=float)
-    valid = ~np.isnan(raw)
-    if (raw[valid] < 0).any():
+    # NaN compares false here and passes through both rint and maximum.
+    if (raw < 0).any():
         raise AdsApiError("raw_audience must be non-negative")
-    reported = np.where(valid, np.maximum(np.rint(raw), float(floor)), raw)
-    return reported
+    return np.maximum(np.rint(raw), float(floor))
 
 
 def pad_id_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from .countries import (
     location_fraction,
     total_user_base,
 )
-from .jitter import combination_seed, lognormal_jitter, prefix_seeds
+from .jitter import lognormal_jitter
 from .model import ReachModelSpec, StatisticalReachModel
 
 __all__ = [
@@ -21,9 +21,7 @@ __all__ = [
     "ReachBackend",
     "ReachModelSpec",
     "StatisticalReachModel",
-    "combination_seed",
     "lognormal_jitter",
-    "prefix_seeds",
     "TOP_50_COUNTRIES",
     "WORLDWIDE",
     "country_codes",

@@ -12,13 +12,16 @@ This module replaces that with a Philox-style counter construction built
 from the SplitMix64 finaliser, fully vectorised over numpy ``uint64``
 arrays:
 
-1. every interest id is mixed with the model key into a 64-bit *token hash*;
+1. every interest id is mixed with the model key into a 64-bit *token
+   hash*; the model hashes every catalog id once, at construction, and
+   reads the hashes by catalog position;
 2. the seed of a combination is the wrapping **sum** of its token hashes —
    addition is commutative, so the seed depends only on the interest set,
    and the seeds of all ``1..N`` prefixes of an ordered list fall out of a
-   single ``cumsum`` (this is what makes the prefix kernel O(N));
-3. each seed is finalised through two independent SplitMix64 streams into
-   two uniforms, combined by Box–Muller into one standard normal draw.
+   single cumulative sum (this is what makes the prefix kernel O(N));
+3. each seed is finalised through two independent SplitMix64 streams,
+   both in one pass over a stacked array, into two uniforms, combined by
+   Box–Muller into one standard normal draw.
 
 The same kernel serves the scalar and the batched entry points, so a scalar
 query and the corresponding element of a batched query are bit-identical.
@@ -36,19 +39,17 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 #: Stream separators so that the two uniforms feeding Box–Muller come from
 #: independent finalisations of the same counter.
-_STREAM_A = np.uint64(0xA5A5A5A5A5A5A5A5)
-_STREAM_B = np.uint64(0xC3C3C3C3C3C3C3C3)
+_STREAMS = np.array([0xA5A5A5A5A5A5A5A5, 0xC3C3C3C3C3C3C3C3], dtype=np.uint64)
 
 _TWO_PI = 2.0 * np.pi
 _INV_2_53 = float(2.0**-53)
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser over a ``uint64`` array (wrapping arithmetic)."""
-    with np.errstate(over="ignore"):
-        values = (values ^ (values >> np.uint64(30))) * _MIX_1
-        values = (values ^ (values >> np.uint64(27))) * _MIX_2
-        return values ^ (values >> np.uint64(31))
+    """SplitMix64 finaliser over a ``uint64`` array (ndim >= 1, so it wraps silently)."""
+    values = (values ^ (values >> np.uint64(30))) * _MIX_1
+    values = (values ^ (values >> np.uint64(27))) * _MIX_2
+    return values ^ (values >> np.uint64(31))
 
 
 def jitter_key(seed: int) -> np.uint64:
@@ -59,34 +60,7 @@ def jitter_key(seed: int) -> np.uint64:
 def interest_token_hashes(interest_ids: np.ndarray, key: np.uint64) -> np.ndarray:
     """Per-interest 64-bit hashes keyed by the model's jitter key."""
     tokens = np.asarray(interest_ids, dtype=np.int64).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64((tokens + _GAMMA) ^ key)
-
-
-def prefix_seeds(
-    interest_ids: np.ndarray, key: np.uint64, *, axis: int = -1
-) -> np.ndarray:
-    """Jitter seeds for every prefix ``1..N`` of an ordered id list.
-
-    Because the combination seed is a wrapping sum of per-id hashes, the
-    seed of prefix ``k`` is the ``k``-th cumulative sum — one vectorised
-    pass instead of ``N`` independent hash-and-seed constructions.  The
-    value for prefix ``k`` only depends on the first ``k`` ids, so a
-    truncated call returns a bit-identical prefix of the full result.
-
-    ``interest_ids`` may be a 2D (panel) matrix of ordered id rows; the
-    cumulative sum then runs along ``axis`` (default: the last axis, i.e.
-    one independent prefix stream per row, bit-identical to calling the 1D
-    form on each row).
-    """
-    hashes = interest_token_hashes(interest_ids, key)
-    with np.errstate(over="ignore"):
-        return np.cumsum(hashes, axis=axis, dtype=np.uint64)
-
-
-def combination_seed(interest_ids: np.ndarray, key: np.uint64) -> np.uint64:
-    """Jitter seed of one interest set (order-independent)."""
-    return prefix_seeds(interest_ids, key)[-1]
+    return _mix64((tokens + _GAMMA) ^ key)
 
 
 def lognormal_jitter(seeds: np.ndarray, log10_sigma: float) -> np.ndarray:
@@ -99,10 +73,10 @@ def lognormal_jitter(seeds: np.ndarray, log10_sigma: float) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     if log10_sigma <= 0:
         return np.ones(seeds.shape, dtype=float)
-    bits_a = _mix64(seeds ^ _STREAM_A)
-    bits_b = _mix64(seeds ^ _STREAM_B)
+    # Both streams in one pass: row 0 feeds u1, row 1 feeds u2.
+    bits = _mix64(np.bitwise_xor.outer(_STREAMS, seeds)) >> np.uint64(11)
     # 53-bit mantissas; u1 is shifted into (0, 1] so that log(u1) is finite.
-    u1 = ((bits_a >> np.uint64(11)) + np.uint64(1)).astype(float) * _INV_2_53
-    u2 = (bits_b >> np.uint64(11)).astype(float) * _INV_2_53
+    bits[0] += np.uint64(1)
+    u1, u2 = bits.astype(float) * _INV_2_53
     normal = np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
     return 10.0 ** (log10_sigma * normal)

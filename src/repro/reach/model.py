@@ -33,17 +33,25 @@ Every AND audience the model reports comes from one kernel,
 measurement reads, for every panel user, the audiences of all ``1..N``
 prefixes of one ordered interest list; the kernel takes a padded
 ``(n_users, width)`` matrix of such lists and computes every prefix of
-every row in one pass:
+every row in one pass, with a fixed number of array operations per call,
+each sweeping the prefix axis of the transposed ``(width, n_users)`` matrix:
 
-* the marginals and topic codes are id-indexed arrays built with the
-  model from the catalog's columns, read at the positions of one
+* per-interest quantities are built once, with the model: a table over
+  the distinct marginals (the marginal, its log, the log plain retention
+  and the log boost delta) and each catalog position's rank into it, topic
+  code and jitter token hash, read at the positions of one
   :meth:`~repro.catalog.InterestCatalog.positions` lookup per call;
-* the rarest-so-far interest comes from ``minimum.accumulate`` and the
-  conditional-retention product from cumulative log-sums, both along the
-  row axis, plus a ≤ 25-step column sweep for the per-topic boosts;
+* each prefix's rarest interest is one ``minimum.accumulate`` over the
+  key ``rank * cells + cell`` (the first of equally rare interests wins),
+  and the conditional-retention product a cumulative log-sum;
+* the same-topic boosts are one sequential sum over a ``(width, width,
+  rows)`` same-topic mask, built in row blocks of a fixed cell budget so
+  that large calls keep bounded memory;
 * the jitter comes from the counter-based construction in
-  :mod:`repro.reach.jitter` — one cumulative sum of per-id hashes per row
-  instead of one Generator per prefix.
+  :mod:`repro.reach.jitter`.
+
+An interest no user holds (audience 0) makes every AND audience holding it
+0, which the Ads API reports at the floor.
 
 Every stage is prefix-local: a cell depends only on the ids before it in
 its row.  That is what lets the scalar :meth:`~StatisticalReachModel.audience_for`
@@ -69,15 +77,14 @@ from ..config import CatalogConfig, ReachModelConfig
 from ..errors import ConfigurationError
 from .backend import ReachBackend
 from .countries import location_fraction, total_user_base
-from .jitter import (
-    combination_seed,
-    jitter_key,
-    lognormal_jitter,
-    prefix_seeds,
-)
+from .jitter import interest_token_hashes, jitter_key, lognormal_jitter
 
 #: Bound on the per-instance memo of OR-query jitter factors.
 _SCALAR_CACHE_SIZE = 4096
+
+#: Cells of the (width, width, rows) same-topic mask the prefix kernel
+#: builds at once; a larger call walks its rows in blocks of this size.
+_TOPIC_MASK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -180,14 +187,31 @@ class StatisticalReachModel(ReachBackend):
         self._jitter_key = jitter_key(
             stable_hash(self._config.seed, "reach-jitter")
         )
-        # Marginal probability and topic code of every interest, in catalog
-        # (id) order.  The codes are widened to intp once here: the kernel
-        # indexes with them, and a narrower index array is re-cast on
-        # every indexing call.
+        # Per-interest kernel inputs.  The four terms that are functions of
+        # the marginal alone live in one (4, distinct marginals) table, read
+        # through each catalog position's rank; topic codes are only
+        # compared, so they keep the catalog's narrow dtype.
         self._marginals = np.minimum(
             1.0, catalog.audiences.astype(float) / self._world
         )
-        self._topic_codes = catalog.topic_codes.astype(np.intp)
+        marginal, ranks = np.unique(self._marginals, return_inverse=True)
+        retention = marginal**self._config.correlation_alpha
+        boost = 1.0 + self._config.topic_affinity_boost
+        with np.errstate(divide="ignore"):
+            log_marginal = np.log(marginal)
+            log_plain = np.log(np.minimum(1.0, retention))
+            log_boosted = np.log(np.minimum(1.0, retention * boost))
+        # An interest nobody holds has log marginal -inf, which zeroes every
+        # AND audience holding it; its retention terms are 0 rather than
+        # -inf, so no prefix sum meets -inf - -inf = NaN.
+        log_plain[marginal == 0] = 0.0
+        log_boosted[marginal == 0] = 0.0
+        self._rank_terms = np.stack(
+            (marginal, log_marginal, log_plain, log_boosted - log_plain)
+        )
+        self._ranks = ranks
+        self._topic_codes = catalog.topic_codes
+        self._token_hashes = interest_token_hashes(catalog.ids, self._jitter_key)
         # Bounded memo of OR-query jitter factors.
         self._jitter_cache: dict[tuple[int, ...], float] = {}
 
@@ -302,81 +326,51 @@ class StatisticalReachModel(ReachBackend):
         ):
             raise ConfigurationError("counts must lie in [0, id_matrix width]")
         n_users, width = ids.shape
-        result = np.full((n_users, width), np.nan, dtype=float)
         if n_users == 0 or width == 0 or not counts.any():
-            return result
+            return np.full((n_users, width), np.nan)
         base = self.world_size(locations)
-        valid = np.arange(width)[None, :] < counts[:, None]
+        valid = np.arange(width) < counts[:, None]
         # Padding cells are pointed at a real catalog entry so the gathers
         # stay in bounds; their values are garbage and masked out at the end
-        # (every kernel stage is prefix-local, so right-hand padding can
-        # never leak into a valid cell).
-        safe_ids = np.where(valid, ids, self._catalog.ids[0])
-        positions = self._catalog.positions(safe_ids)
-        probs = self._marginals[positions]
+        # (every kernel stage is prefix-local, so padding never leaks into a
+        # valid cell).  The kernel works on the transposed (width, n_users)
+        # layout, so each prefix sweep is one vectorised pass over all rows.
+        positions = np.ascontiguousarray(
+            self._catalog.positions(np.where(valid, ids, self._catalog.ids[0])).T
+        )
+        # The rarest interest of each prefix is its smallest (rank, cell)
+        # key, so the first of equally rare interests wins.
+        ranks = self._ranks[positions]
+        size = n_users * width
+        rarest_rank, rarest_cell = np.divmod(
+            np.minimum.accumulate(
+                ranks * size + np.arange(size).reshape(width, n_users), axis=0
+            ),
+            size,
+        )
+        terms = self._rank_terms
+        marginal, log_marginal, log_plain, log_boost_delta = terms.take(
+            rarest_rank, axis=1
+        )
+        plain_terms, delta_terms = terms[2:].take(ranks, axis=1)
         topics = self._topic_codes[positions]
-        intersections = self._prefix_probabilities_panel(probs, topics)
+        same_topic = _same_topic_sums(topics, topics.take(rarest_cell), delta_terms)
+        log_probability = (
+            log_marginal
+            + (np.add.accumulate(plain_terms, axis=0) - log_plain)
+            + (same_topic - log_boost_delta)
+        )
+        intersections = np.minimum(np.exp(log_probability), marginal)
         jitters = lognormal_jitter(
-            prefix_seeds(safe_ids, self._jitter_key, axis=1),
+            np.add.accumulate(self._token_hashes[positions], axis=0),
             self._config.jitter_log10_sigma,
         )
         audiences = base * intersections * jitters
-        rarest = base * np.minimum.accumulate(probs, axis=1)
-        clipped = np.maximum(np.minimum(audiences, rarest), 0.0)
-        result[valid] = clipped[valid]
-        return result
+        # The jitter never pushes an AND audience above its rarest marginal.
+        clipped = np.maximum(np.minimum(audiences, base * marginal), 0.0)
+        return np.where(valid, clipped.T, np.nan)
 
     # -- internals ------------------------------------------------------------
-
-    def _prefix_probabilities_panel(
-        self, probs: np.ndarray, topics: np.ndarray
-    ) -> np.ndarray:
-        """Conditional-retention intersection probability of every prefix.
-
-        ``probs`` and ``topics`` are ``(n_users, width)`` matrices of the
-        marginals and topic codes of each row's ordered ids.  Every
-        cumulative operation runs along the row axis, so a cell depends
-        only on the cells before it in its row (first rarest interest wins
-        on ties, matching a stable sort by probability).  The per-topic
-        cumulative boost corrections are swept column by column (at most
-        ``width`` ≤ 25 steps, each vectorised over all users), keeping one
-        running sum per (user, topic); only the column of each prefix's
-        rarest topic is read.
-        """
-        n_users, width = probs.shape
-        alpha = self._config.correlation_alpha
-        boost = 1.0 + self._config.topic_affinity_boost
-        with np.errstate(all="ignore"):
-            cumulative_min = np.minimum.accumulate(probs, axis=1)
-            previous_min = np.concatenate(
-                (np.full((n_users, 1), np.inf), cumulative_min[:, :-1]), axis=1
-            )
-            new_min = probs < previous_min
-            rarest_index = np.maximum.accumulate(
-                np.where(new_min, np.arange(width)[None, :], 0), axis=1
-            )
-            retention = probs**alpha
-            plain = np.minimum(1.0, retention)
-            boosted = np.minimum(1.0, retention * boost)
-            log_plain = np.log(plain)
-            log_boost_delta = np.log(boosted) - log_plain
-            total_log = np.cumsum(log_plain, axis=1)
-            rows = np.arange(n_users)
-            rarest_topic = topics[rows[:, None], rarest_index]
-            running = np.zeros(
-                (n_users, len(self._catalog.topic_table)), dtype=float
-            )
-            same_topic = np.empty_like(probs)
-            for column in range(width):
-                running[rows, topics[:, column]] += log_boost_delta[:, column]
-                same_topic[:, column] = running[rows, rarest_topic[:, column]]
-            rarest_probs = probs[rows[:, None], rarest_index]
-            log_probability = (
-                np.log(rarest_probs)
-                + (total_log - log_plain[rows[:, None], rarest_index])
-                + (same_topic - log_boost_delta[rows[:, None], rarest_index])
-            )
-            return np.minimum(np.exp(log_probability), rarest_probs)
 
     def _jitter(self, interest_ids: tuple[int, ...]) -> float:
         """Deterministic log-normal jitter keyed on the interest combination.
@@ -394,11 +388,33 @@ class StatisticalReachModel(ReachBackend):
         key = tuple(sorted(interest_ids))
         cached = self._jitter_cache.get(key)
         if cached is None:
-            seed = combination_seed(
-                np.asarray(key, dtype=np.int64), self._jitter_key
-            )
-            cached = float(lognormal_jitter(np.asarray([seed]), sigma)[0])
+            # A combination's seed is the wrapping sum of its token hashes.
+            hashes = self._token_hashes[self._catalog.positions(key)]
+            seed = hashes.sum(dtype=np.uint64, keepdims=True)
+            cached = float(lognormal_jitter(seed, sigma)[0])
             if len(self._jitter_cache) >= _SCALAR_CACHE_SIZE:
                 self._jitter_cache.pop(next(iter(self._jitter_cache)))
             self._jitter_cache[key] = cached
         return cached
+
+
+def _same_topic_sums(
+    topics: np.ndarray, rarest_topics: np.ndarray, deltas: np.ndarray
+) -> np.ndarray:
+    """Cell ``(k, u)``: the sum of ``deltas[j, u]`` over ``j <= k`` with
+    ``topics[j, u] == rarest_topics[k, u]``, added in column order (a reduction
+    along the slow axis of the masked ``(width, width, rows)`` stack runs
+    sequentially), ``_TOPIC_MASK_CELLS`` mask cells at a time."""
+    width, n_users = topics.shape
+    upper = np.arange(width)[:, None, None] <= np.arange(width)[:, None]
+    sums = np.empty(topics.shape)
+    step = max(1, _TOPIC_MASK_CELLS // (width * width))
+    for start in range(0, n_users, step):
+        block = slice(start, start + step)
+        terms = np.where(
+            topics[:, None, block] == rarest_topics[None, :, block],
+            deltas[:, None, block],
+            0.0,
+        )
+        np.add.reduce(terms, axis=0, out=sums[:, block], where=upper)
+    return sums

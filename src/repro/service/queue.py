@@ -66,6 +66,8 @@ class PendingQueue:
     _cells: int = 0
     #: Rotating round-robin offset so no lane is structurally first.
     _rotation: int = 0
+    #: Lower bound on every queued deadline: until time passes it, a purge is a no-op.
+    _earliest_deadline: float = float("inf")
 
     def __post_init__(self) -> None:
         if self.max_cells < 1:
@@ -94,6 +96,7 @@ class PendingQueue:
             lane = self._lanes[entry.request.tenant] = deque()
         lane.append(entry)
         self._cells += entry.cost
+        self._earliest_deadline = min(self._earliest_deadline, entry.deadline)
 
     def requeue(self, entry: QueuedRequest) -> None:
         """Put a popped entry back at the *front* of its lane (retry backoff).
@@ -107,10 +110,14 @@ class PendingQueue:
             lane = self._lanes[entry.request.tenant] = deque()
         lane.appendleft(entry)
         self._cells += entry.cost
+        self._earliest_deadline = min(self._earliest_deadline, entry.deadline)
 
     def purge_expired(self, now: float) -> list[QueuedRequest]:
         """Remove and return every entry whose deadline is strictly past."""
+        if now <= self._earliest_deadline:
+            return []
         expired: list[QueuedRequest] = []
+        earliest = float("inf")
         for tenant in list(self._lanes):
             lane = self._lanes[tenant]
             kept = deque()
@@ -120,10 +127,12 @@ class PendingQueue:
                     self._cells -= entry.cost
                 else:
                     kept.append(entry)
+                    earliest = min(earliest, entry.deadline)
             if kept:
                 self._lanes[tenant] = kept
             else:
                 del self._lanes[tenant]
+        self._earliest_deadline = earliest
         return expired
 
     def pop_batch(self, now: float, max_cells: int) -> list[QueuedRequest]:

@@ -4,7 +4,9 @@ Each oracle is the plainest statement of what a production path computes,
 kept out of ``src/`` because nothing but the parity checks runs it:
 
 * :func:`prefix_audiences` — the AND audiences of every prefix of one
-  ordered id list, computed with 1-D cumulative sweeps; the reference
+  ordered id list, computed with 1-D cumulative sweeps and the oracle's
+  own copy of the counter-based jitter (:func:`jitter_prefix_seeds`,
+  :func:`jitter_factors`); the reference
   ``StatisticalReachModel.prefix_audiences_panel`` is pinned against row
   by row, bit for bit;
 * :func:`prefix_chain` — the targeting specs of every prefix of one
@@ -61,6 +63,7 @@ from repro._rng import (
     derive_generator,
     derive_seed,
     resolve_seed,
+    stable_hash,
 )
 from repro.adsapi import AdsManagerAPI, TargetingSpec
 from repro.catalog import (
@@ -96,7 +99,6 @@ from repro.population import (
 from repro.population.columnar import PanelColumns
 from repro.population.generation import SEED_KEY, TOPICS_PER_USER
 from repro.reach import TOP_50_COUNTRIES, WORLDWIDE, StatisticalReachModel
-from repro.reach.jitter import lognormal_jitter, prefix_seeds
 
 # -- catalog -------------------------------------------------------------------------
 
@@ -237,7 +239,10 @@ def prefix_audiences(
 
     The per-list form of the model's panel kernel: the same
     conditional-retention product, jitter and rarest-marginal clip, with
-    every cumulative quantity a 1-D sweep over the list.
+    every cumulative quantity a 1-D sweep over the list and every
+    per-interest term derived from the catalog on each call.  A prefix
+    holding an interest nobody holds comes out NaN before the clip, which
+    ``fmin`` turns into that interest's audience, 0.
     """
     ids = np.asarray([int(i) for i in ordered_ids], dtype=np.int64)
     if ids.size == 0:
@@ -248,13 +253,13 @@ def prefix_audiences(
     audiences = catalog.audiences[positions].astype(float)
     probs = np.minimum(1.0, audiences / model.world_size())
     intersections = _prefix_probabilities(model, probs, catalog.topic_codes[positions])
-    jitters = lognormal_jitter(
-        prefix_seeds(ids, model._jitter_key), model.config.jitter_log10_sigma
+    jitters = jitter_factors(
+        jitter_prefix_seeds(ids, model.config.seed), model.config.jitter_log10_sigma
     )
     audiences = base * intersections * jitters
     # The jitter never pushes an AND-audience above its rarest marginal.
     rarest = base * np.minimum.accumulate(probs)
-    return np.maximum(np.minimum(audiences, rarest), 0.0)
+    return np.maximum(np.fmin(audiences, rarest), 0.0)
 
 
 def _prefix_probabilities(
@@ -291,6 +296,56 @@ def _prefix_probabilities(
             + (same_topic - log_boost_delta[rarest_index])
         )
         return np.minimum(np.exp(log_probability), probs[rarest_index])
+
+
+# -- reach jitter ------------------------------------------------------------------
+#
+# The counter-based jitter of ``repro.reach.jitter``, restated one stream at
+# a time so the oracle cannot follow a rewrite of the production module.
+
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_JITTER_STREAMS = (0xA5A5A5A5A5A5A5A5, 0xC3C3C3C3C3C3C3C3)
+
+
+def _splitmix64(values: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser over a ``uint64`` array."""
+    values = np.asarray(values, dtype=np.uint64)
+    values = (values ^ (values >> np.uint64(30))) * np.uint64(_SPLITMIX_MIX[0])
+    values = (values ^ (values >> np.uint64(27))) * np.uint64(_SPLITMIX_MIX[1])
+    return values ^ (values >> np.uint64(31))
+
+
+def jitter_prefix_seeds(ordered_ids: Sequence[int], model_seed: int) -> np.ndarray:
+    """Jitter seeds of every prefix ``1..N``: running wrapping sums of id hashes.
+
+    Each id is hashed with the model's key on every call:
+    ``splitmix((id + gamma) ^ key)``, where the key is the finalised
+    ``stable_hash(model_seed, "reach-jitter")``.
+    """
+    seed = stable_hash(model_seed, "reach-jitter") % 2**64
+    key = _splitmix64(np.array([seed], dtype=np.uint64))
+    tokens = np.asarray(ordered_ids, dtype=np.int64).astype(np.uint64)
+    hashes = _splitmix64((tokens + np.uint64(_SPLITMIX_GAMMA)) ^ key)
+    return np.cumsum(hashes, dtype=np.uint64)
+
+
+def jitter_factors(seeds: np.ndarray, log10_sigma: float) -> np.ndarray:
+    """Log-normal jitter ``10 ** (sigma * z)``; ``z`` by Box–Muller per seed.
+
+    Stream A gives ``u1`` in (0, 1] and stream B ``u2`` in [0, 1), each
+    from the top 53 bits of one finalisation of ``seed ^ stream``.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if log10_sigma <= 0:
+        return np.ones(seeds.shape, dtype=float)
+    bits_a = _splitmix64(seeds ^ np.uint64(_JITTER_STREAMS[0]))
+    bits_b = _splitmix64(seeds ^ np.uint64(_JITTER_STREAMS[1]))
+    u1 = ((bits_a >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0**-53
+    u2 = (bits_b >> np.uint64(11)).astype(float) * 2.0**-53
+    normal = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return 10.0 ** (log10_sigma * normal)
+
 
 # -- collection --------------------------------------------------------------------
 

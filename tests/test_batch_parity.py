@@ -76,12 +76,9 @@ class TestPrefixKernelParity:
         assert model.audience_for(ordered) == model.audience_for(ordered)
         backward = model.audience_for(list(reversed(ordered)))
         assert model.audience_for(ordered) == pytest.approx(backward, rel=1e-9)
-        from repro.reach.jitter import combination_seed
-
-        forward_seed = combination_seed(np.asarray(ordered), model._jitter_key)
-        backward_seed = combination_seed(
-            np.asarray(ordered[::-1]), model._jitter_key
-        )
+        seed = model.config.seed
+        forward_seed = oracles.jitter_prefix_seeds(ordered, seed)[-1]
+        backward_seed = oracles.jitter_prefix_seeds(ordered[::-1], seed)[-1]
         assert forward_seed == backward_seed
 
     def test_truncated_call_is_a_prefix_of_the_full_call(self, model, id_pool):

@@ -12,6 +12,8 @@ endpoint.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,11 +104,14 @@ class TestPrefixAudiencesPanel:
         )
 
     def test_unknown_interest_in_valid_region_raises(self, model, id_pool):
-        counts = np.array([3], dtype=np.int64)
+        counts = np.array([3, 3], dtype=np.int64)
         matrix = _ragged_matrix(id_pool, counts, 3)
-        matrix[0, 1] = 10**9
-        with pytest.raises(UnknownInterestError):
+        matrix[0, 2] = 10**9
+        matrix[1, 0] = 10**9 + 1
+        # The first unknown id in row order is the one reported.
+        with pytest.raises(UnknownInterestError) as error:
             model.prefix_audiences_panel(matrix, counts)
+        assert error.value.interest_id == 10**9
 
     def test_protocol_default_matches_vectorised_kernel(self, model, id_pool):
         counts = np.array([0, 8, 3], dtype=np.int64)
@@ -115,6 +120,25 @@ class TestPrefixAudiencesPanel:
         assert np.array_equal(
             fallback, model.prefix_audiences_panel(matrix, counts), equal_nan=True
         )
+
+    def test_large_call_memory_is_bounded(self, model):
+        # The (rows, width, width) same-topic mask is built in row blocks:
+        # whole, it alone would take 225 bytes a cell at this width.
+        rng = np.random.default_rng(11)
+        ids = model.catalog.ids[rng.integers(0, len(model.catalog), size=(20_000, 25))]
+        counts = rng.integers(0, 26, size=20_000)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            model.prefix_audiences_panel(ids, counts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 240 * ids.size
 
     def test_invalid_shapes_rejected(self, model, id_pool):
         with pytest.raises(Exception):

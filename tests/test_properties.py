@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adsapi import apply_reporting_floor
+from repro.adsapi import apply_reporting_floor, apply_reporting_floor_matrix
 from repro.adsapi.ratelimit import TokenBucket
 from repro.analysis import EmpiricalCDF
 from repro.core import AudienceSamples, fit_vas, nested_subsets, truncate_at_floor
 from repro.core.quantiles import probability_to_percentile
 from repro.delivery import pseudonymize_ip
-from repro.errors import InsufficientDataError, ModelError
+from repro.errors import AdsApiError, InsufficientDataError, ModelError
 from repro.fdvt import RiskLevel, RiskThresholds
 from repro.simclock import SimClock
 
@@ -52,6 +52,48 @@ class TestReportingFloorProperties:
             apply_reporting_floor(low, 20).potential_reach
             <= apply_reporting_floor(high, 20).potential_reach
         )
+
+
+#: Raw matrix cells: padding (NaN), signed zeros, exact halves on both sides
+#: of common floors, and arbitrary non-negative audiences.
+_RAW_CELLS = st.one_of(
+    st.sampled_from((float("nan"), -0.0, 0.0, 0.5, 1.5, 2.5, 19.5, 20.5, 999.5)),
+    st.integers(min_value=0, max_value=3_000).map(lambda whole: whole + 0.5),
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+)
+
+
+class TestReportingFloorMatrixProperties:
+    @COMMON_SETTINGS
+    @given(
+        cells=st.lists(_RAW_CELLS, min_size=1, max_size=30),
+        width=st.integers(min_value=1, max_value=6),
+        floor=st.one_of(
+            st.sampled_from((1, 20, 1_000)), st.integers(min_value=1, max_value=10_000)
+        ),
+    )
+    def test_cells_match_the_scalar_floor(self, cells, width, floor):
+        cells += [float("nan")] * (-len(cells) % width)
+        raw = np.asarray(cells, dtype=float).reshape(-1, width)
+        reported = apply_reporting_floor_matrix(raw, floor)
+        assert reported.shape == raw.shape
+        for value, cell in zip(raw.ravel(), reported.ravel()):
+            if np.isnan(value):
+                assert np.isnan(cell)
+            else:
+                scalar = apply_reporting_floor(float(value), floor).potential_reach
+                assert cell == float(scalar)
+
+    @COMMON_SETTINGS
+    @given(
+        cells=st.lists(_RAW_CELLS, min_size=0, max_size=20),
+        negative=st.floats(max_value=0.0, exclude_max=True, allow_nan=False),
+        at=st.integers(min_value=0, max_value=20),
+    )
+    def test_a_negative_cell_raises(self, cells, negative, at):
+        cells.insert(at % (len(cells) + 1), negative)
+        with pytest.raises(AdsApiError):
+            apply_reporting_floor_matrix(np.asarray([cells]), 20)
 
 
 class TestQuantileProperties:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.adsapi import AdsManagerAPI, TargetingSpec
-from repro.catalog import InterestCatalog
+from repro.catalog import Interest, InterestCatalog
 from repro.config import CatalogConfig, PlatformConfig, ReachModelConfig
 from repro.errors import ConfigurationError
 from repro.reach import ReachBackend, StatisticalReachModel, total_user_base
+from repro.simclock import SimClock
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +163,47 @@ class TestCorrelationAlphaEffect:
         for interest_id in ids:
             independent *= model.marginal_probability(interest_id)
         assert model.audience_for(ids) == pytest.approx(independent, rel=1e-6)
+
+
+class TestZeroAudienceInterest:
+    """An interest nobody holds makes every AND audience holding it 0."""
+
+    @pytest.fixture()
+    def api(self):
+        catalog = InterestCatalog(
+            [
+                Interest(
+                    interest_id=index,
+                    name=f"interest {index}",
+                    topic=("Music", "Sports")[index % 2],
+                    audience_size=0 if index == 0 else 1_000 * (index + 1),
+                )
+                for index in range(5)
+            ]
+        )
+        return AdsManagerAPI(
+            StatisticalReachModel(catalog), platform=PlatformConfig(), clock=SimClock()
+        )
+
+    def test_audience_for_is_zero(self, api):
+        model = api.backend
+        assert model.audience_for([0]) == 0.0
+        assert model.audience_for([1, 0, 2]) == 0.0
+        assert model.audience_for([1, 2]) > 0.0
+
+    def test_estimate_reach_reports_the_floor(self, api):
+        estimate = api.estimate_reach(TargetingSpec.for_interests((1, 0)))
+        assert estimate.floored and estimate.potential_reach == estimate.floor
+
+    def test_estimate_reach_batch_reports_the_floor(self, api):
+        held, unheld = api.estimate_reach_batch(
+            [TargetingSpec.for_interests((1,)), TargetingSpec.for_interests((1, 0))]
+        )
+        assert not held.floored and held.potential_reach > held.floor
+        assert unheld.floored and unheld.potential_reach == unheld.floor
+
+    def test_estimate_reach_matrix_floors_every_later_cell(self, api):
+        values = api.estimate_reach_matrix(np.array([[1, 0, 2]]), [3])
+        floor = api.platform.reach_floor
+        single = api.estimate_reach(TargetingSpec.for_interests((1,))).potential_reach
+        assert values.tolist() == [[float(single), float(floor), float(floor)]]

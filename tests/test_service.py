@@ -19,6 +19,8 @@ bit-reproducible.  The load-bearing contracts pinned here:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _builders import build_cached_simulation, fresh_legacy_api, fresh_modern_api
 
@@ -257,6 +259,16 @@ class TestPendingQueue:
         assert [entry.index for entry in expired] == [0]
         assert queue.queued_cells == 2 and queue.has_room(2)
 
+    def test_successive_purges_expire_each_deadline_once(self, interest_pool):
+        queue = PendingQueue(max_cells=10)
+        queue.push(entry_for(interest_pool, 0, deadline=30.0))
+        queue.push(entry_for(interest_pool, 1, deadline=10.0))
+        assert queue.purge_expired(now=5.0) == []
+        assert [entry.index for entry in queue.purge_expired(now=15.0)] == [1]
+        assert queue.purge_expired(now=30.0) == []
+        assert [entry.index for entry in queue.purge_expired(now=35.0)] == [0]
+        assert len(queue) == 0 and queue.queued_cells == 0
+
     def test_requeue_restores_lane_front(self, interest_pool):
         queue = PendingQueue(max_cells=10)
         first = entry_for(interest_pool, 0, n=2)
@@ -266,6 +278,78 @@ class TestPendingQueue:
         assert popped == [first]
         queue.requeue(first)
         assert queue.pop_batch(now=0.0, max_cells=2) == [first]
+
+
+#: Virtual times on a coarse grid, so deadlines and purge times often sit
+#: on either side of one another.
+_TIMES = st.integers(min_value=0, max_value=10).map(lambda step: 5.0 * step)
+_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.sampled_from(("a", "b", "c")),
+            st.integers(min_value=1, max_value=3),
+            _TIMES,
+            st.sampled_from((0.0, 0.0, 10.0, 30.0)),
+        ),
+        st.tuples(st.just("requeue"), st.integers(min_value=0, max_value=99), _TIMES),
+        st.tuples(st.just("pop"), _TIMES, st.integers(min_value=1, max_value=8)),
+        st.tuples(st.just("purge"), _TIMES),
+    ),
+    max_size=60,
+)
+
+
+class TestPendingQueueProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_QUEUE_OPS)
+    def test_purge_never_misses_an_expired_entry(self, ops):
+        """Random pushes, requeues, pops and purges against a plain list.
+
+        Deadlines arrive out of order, ``now`` moves both ways, and a
+        requeued entry may carry an earlier deadline than anything queued,
+        so the queue's deadline bound is exercised from every side.
+        """
+        queue = PendingQueue(max_cells=24)
+        queued: list[QueuedRequest] = []
+        popped: list[QueuedRequest] = []
+        for index, op in enumerate(ops):
+            if op[0] == "push":
+                _, tenant, cost, deadline, not_before = op
+                entry = QueuedRequest(
+                    index=index,
+                    request=ReachRequest(tenant=tenant, interests=tuple(range(cost))),
+                    submitted_at=0.0,
+                    deadline=deadline,
+                    not_before=not_before,
+                )
+                if queue.has_room(cost):
+                    queue.push(entry)
+                    queued.append(entry)
+            elif op[0] == "requeue" and popped:
+                entry = popped.pop(op[1] % len(popped))
+                entry.deadline = op[2]
+                queue.requeue(entry)
+                queued.append(entry)
+            elif op[0] == "pop":
+                _, now, budget = op
+                batch = queue.pop_batch(now, budget)
+                assert sum(entry.cost for entry in batch) <= budget
+                for entry in batch:
+                    assert entry.not_before <= now
+                    queued.remove(entry)
+                popped.extend(batch)
+            elif op[0] == "purge":
+                now = op[1]
+                expired = queue.purge_expired(now)
+                expected = [entry for entry in queued if now > entry.deadline]
+                assert sorted(e.index for e in expired) == sorted(
+                    e.index for e in expected
+                )
+                for entry in expected:
+                    queued.remove(entry)
+            assert len(queue) == len(queued)
+            assert queue.queued_cells == sum(entry.cost for entry in queued)
 
 
 class TestCircuitBreaker:
