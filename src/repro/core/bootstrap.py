@@ -14,11 +14,18 @@ so :func:`bootstrap_cutpoints` sorts each column's valid samples once per
 sample store and never gathers or sorts a resampled stack:
 
 1. the resample index matrices are drawn in bulk (one generator call per
-   chunk — stream-identical to a single up-front draw) and one offset
-   ``bincount`` turns a chunk's draws into per-user draw counts;
-2. per column, a running sum of those counts in sorted-value order makes
-   the two order statistics each quantile needs two rank lookups
-   (``searchsorted``), interpolated exactly as
+   chunk — stream-identical to a single up-front draw) and one ``bincount``
+   per replicate turns them into user-major per-user draw counts, with an
+   all-zero row after the last user;
+2. per column, a two-level rank search finds the two order statistics each
+   quantile needs.  The column's sorted rows, padded with the zero row to
+   whole blocks of :data:`_BLOCK`, gather whole rows of counts; one sum per
+   block gives every replicate's block totals, one running sum over the
+   flattened (replicate, block) totals and one ``searchsorted`` find the
+   block holding each rank, and a running sum over just the hit blocks
+   counts the entries at or below the rank left over.  The positions are
+   the ones a running sum over every (replicate, user) cell would give,
+   and they are interpolated exactly as
    :func:`~repro.core.quantiles.masked_column_quantiles` does (including
    NumPy's ``gamma >= 0.5`` branch) — bit-identical to per-replicate
    ``nanpercentile``;
@@ -32,8 +39,12 @@ sample store and never gathers or sorts a resampled stack:
    squares across rows.  Replicates whose fit would fail (degenerate
    resample, non-positive slope) surface as ``NaN``.
 
-Transient memory is O(chunk * users) integers (the draw counts and one
-column's running sum); the sorted columns cost 12 bytes per valid sample.
+Transient memory is O(chunk * users) small integers: the chunk's int64
+resample indices while they are counted, the draw counts (the smallest
+unsigned dtype that holds ``n_users``, 2 bytes a cell at paper scale) and
+one column's gathered counts.  The running sums cover only the block
+totals and the hit blocks.  The sorted columns cost about 12 bytes per
+valid sample.
 
 Streaming support
 -----------------
@@ -54,9 +65,12 @@ from one generator (so the draw stream — and hence every cutpoint — is
 bit-identical for every backend, worker count and chunk size), only the
 pure per-chunk quantile + fit work runs on the runner, and chunk results
 are reassembled in draw order.  The sorted columns are built once, before
-dispatch, and travel with every chunk task.  The sharded route materialises
-all index chunks up front (``n_bootstrap × n_users`` int64), which the
-serial route avoids by drawing and discarding per chunk.
+dispatch, and travel with every chunk task.  Each task carries its chunk's
+draw counts rather than its indices, so the sharded route, which draws
+every chunk before dispatch, holds ``n_bootstrap × (n_users + 1)`` counts
+of the smallest unsigned dtype that holds ``n_users`` (a quarter of the
+int64 indices at paper scale); the serial route draws and discards per
+chunk.
 """
 
 from __future__ import annotations
@@ -73,12 +87,16 @@ from .fitting import fit_vas_many, is_floored
 from .quantiles import AudienceSamples, StreamedAudienceSamples
 
 #: Draw-count cells (replicates x users) per bootstrap chunk.  Larger
-#: chunks push the count block out of cache and run slower; results do
-#: not depend on the chunk size.
-_CHUNK_BUDGET = 1 << 18
+#: chunks spread each column's fixed cost over more replicates but hold
+#: more transient memory; results do not depend on the chunk size.
+_CHUNK_BUDGET = 1 << 19
+
+#: Sorted rows per block of the two-level rank search.  16 ran fastest of
+#: 8, 16, 32 and 64 at paper scale; results do not depend on it.
+_BLOCK = 16
 
 #: Per column: the rows of users with a valid sample, in ascending value
-#: order, and those sorted values.
+#: order and padded to whole blocks, and those sorted values.
 _SortedColumns = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
@@ -122,10 +140,13 @@ def _sorted_columns(
 ) -> _SortedColumns:
     """Sort each column's valid samples, for either sample store.
 
-    Row indices are int32 where they fit, so the columns cost 12 bytes per
-    valid sample.
+    Each column's sorted rows are padded to a whole number of
+    :data:`_BLOCK` blocks with ``n_users``, the index of the chunk's
+    all-zero draw-count row.  Row indices are int32 where they fit, so the
+    columns cost about 12 bytes per valid sample.
     """
-    row_dtype = np.int32 if samples.n_users <= np.iinfo(np.int32).max else np.intp
+    n_users = samples.n_users
+    row_dtype = np.int32 if n_users <= np.iinfo(np.int32).max else np.intp
     columns = []
     for k in range(samples.max_interests):
         if isinstance(samples, StreamedAudienceSamples):
@@ -134,18 +155,39 @@ def _sorted_columns(
             rows = np.flatnonzero(~np.isnan(samples.matrix[:, k]))
         values = samples.samples_for(k + 1)
         order = np.argsort(values, kind="stable")
-        columns.append((rows[order].astype(row_dtype), values[order]))
+        padded = np.full(-(-rows.size // _BLOCK) * _BLOCK, n_users, dtype=row_dtype)
+        padded[: rows.size] = rows[order]
+        columns.append((padded, values[order]))
     return tuple(columns)
 
 
 @dataclass(frozen=True)
 class _BootstrapChunkTask:
-    """One replicate chunk: the sorted columns, quantiles, floor and draws."""
+    """One replicate chunk: the sorted columns, quantiles, floor and draws.
+
+    ``draws[u, r]`` is how often replicate ``r`` drew user ``u``; the last
+    row (the sorted columns' padding row) is all zero.
+    """
 
     columns: _SortedColumns
     q_percents: tuple[float, ...]
     floor: int
-    indices: np.ndarray
+    draws: np.ndarray
+
+
+def _draw_counts(indices: np.ndarray) -> np.ndarray:
+    """Per-user draw counts of a chunk's (replicates, users) resample indices.
+
+    Returns the user-major ``(n_users + 1, replicates)`` counts with an
+    all-zero last row, in the smallest unsigned dtype that holds
+    ``n_users`` (no user is drawn more often than that).  One small
+    ``bincount`` per replicate stays in cache, unlike one over the chunk.
+    """
+    count, n_users = indices.shape
+    counts = np.empty((count, n_users + 1), dtype=np.min_scalar_type(n_users))
+    for replicate, row in enumerate(indices):
+        counts[replicate] = np.bincount(row, minlength=n_users + 1)
+    return np.ascontiguousarray(counts.T)
 
 
 def _run_bootstrap_chunk(task: _BootstrapChunkTask) -> np.ndarray:
@@ -155,13 +197,9 @@ def _run_bootstrap_chunk(task: _BootstrapChunkTask) -> np.ndarray:
     depend on which worker (or process) evaluates them, which is what keeps
     the sharded bootstrap bit-identical across backends and worker counts.
     """
-    count, n_users = task.indices.shape
+    draws = task.draws
+    n_users, count = draws.shape[0] - 1, draws.shape[1]
     replicate = np.arange(count)
-    draws = np.bincount(
-        (task.indices + (replicate * n_users)[:, None]).ravel(),
-        minlength=count * n_users,
-    )
-    draws = draws.astype(np.int32).reshape(count, n_users)
     # Running totals never exceed the chunk's draw count; int32 sums run
     # about twice as fast as the default int64 ones.
     total_dtype = np.int32 if count * n_users <= np.iinfo(np.int32).max else np.int64
@@ -170,15 +208,22 @@ def _run_bootstrap_chunk(task: _BootstrapChunkTask) -> np.ndarray:
     pending = np.ones((quantiles.size, count), dtype=bool)
     with np.errstate(all="ignore"):
         for k, (rows, values) in enumerate(task.columns):
-            if rows.size == 0:
+            if values.size == 0:
                 break  # a NaN column: every row is done
-            # Running draw totals in sorted-value order, replicate after
-            # replicate; counts are non-negative, so the flattened total
-            # never decreases and one searchsorted serves every replicate.
-            running = np.cumsum(draws[:, rows].ravel(), dtype=total_dtype)
-            ends = running[rows.size - 1 :: rows.size]
-            starts = np.concatenate(([0], ends[:-1]))
-            top = ends - starts - 1  # index of each replicate's largest valid draw
+            n_blocks = rows.size // _BLOCK
+            # (block, entry, replicate) draw counts in sorted-value order.
+            # A block's total is at most a replicate's n_users draws, so
+            # it fits the counts' own dtype.
+            blocks = np.take(draws, rows, axis=0).reshape(n_blocks, _BLOCK, count)
+            totals = blocks.sum(axis=1, dtype=draws.dtype)
+            # Running block totals, replicate after replicate, behind a
+            # leading zero: running[i] is the total before flattened block
+            # i.  Counts are non-negative, so the totals never decrease and
+            # one searchsorted serves every replicate.
+            running = np.zeros(count * n_blocks + 1, dtype=total_dtype)
+            np.cumsum(totals.T, dtype=total_dtype, out=running[1:])
+            starts = running[:-1:n_blocks]
+            top = running[n_blocks::n_blocks] - starts - 1  # largest valid rank
             # The ranks of masked_column_quantiles: q * (valid draws - 1),
             # floor/gamma, the at-top clamp and max(., 0).
             virtual = quantiles * top
@@ -191,12 +236,17 @@ def _run_bootstrap_chunk(task: _BootstrapChunkTask) -> np.ndarray:
             high = np.where(at_top, top, high)
             ranks = np.stack([np.maximum(low, 0), np.maximum(high, 0)]) + starts
             # Searching in the totals' own dtype avoids a converted copy.
-            positions = np.searchsorted(
-                running, ranks.astype(total_dtype), side="right"
+            hit = np.searchsorted(running[1:], ranks.astype(total_dtype), side="right")
+            # A replicate with no valid draw points past its own blocks.
+            block = np.minimum(hit - replicate * n_blocks, n_blocks - 1)
+            left = ranks - running[replicate * n_blocks + block]
+            # Inside the hit block, the rank's position is the number of
+            # entries whose running count is still at or below what is left.
+            within = np.cumsum(blocks[block, :, replicate], axis=-1, dtype=total_dtype)
+            positions = block * _BLOCK + np.count_nonzero(
+                within <= left[..., None], axis=-1
             )
-            positions -= replicate * rows.size
-            # A replicate with no valid draw points past its own segment.
-            lower, upper = values[np.minimum(positions, rows.size - 1)]
+            lower, upper = values[np.minimum(positions, values.size - 1)]
             difference = upper - lower
             interpolated = np.where(
                 gamma >= 0.5,
@@ -245,6 +295,8 @@ def bootstrap_cutpoints(
     if chunk_size is not None and chunk_size < 1:
         raise ModelError("chunk_size must be >= 1")
     qs = tuple(AudienceSamples._validate_q(q) for q in q_percents)
+    if not qs:
+        raise ModelError("at least one quantile is required")
     rng = as_generator(seed)
     n_users = samples.n_users
     if chunk_size is None:
@@ -262,7 +314,7 @@ def bootstrap_cutpoints(
             columns=columns,
             q_percents=qs,
             floor=samples.floor,
-            indices=rng.integers(0, n_users, size=(count, n_users)),
+            draws=_draw_counts(rng.integers(0, n_users, size=(count, n_users))),
         )
 
     # Drawing per chunk keeps peak memory O(chunk); the concatenated

@@ -7,9 +7,8 @@ Section 4.1 of the paper defines, for every number of interests ``N`` in
     VAS(Q) = [AS(Q, 1), AS(Q, 2), ..., AS(Q, 25)].
 
 :class:`AudienceSamples` stores the underlying samples as a users x N matrix
-(``NaN`` where a user has fewer than ``N`` interests) so that quantiles,
-bootstrap resampling and per-group subsetting are all cheap array
-operations.
+(``NaN`` where a user has fewer than ``N`` interests) so that quantiles
+and per-group subsetting are cheap array operations.
 
 For streamed collection (``AudienceSizeCollector.collect_stream``) the
 mergeable :class:`AudienceAccumulator` absorbs per-shard sample blocks as
@@ -28,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .._rng import SeedLike, as_generator
 from ..errors import InsufficientDataError, ModelError
 
 
@@ -96,13 +94,6 @@ class AudienceSamples:
         return np.atleast_2d(result)
 
     # -- resampling --------------------------------------------------------------------
-
-    def bootstrap_resample(self, seed: SeedLike = None) -> "AudienceSamples":
-        """Resample users with replacement (one bootstrap replicate)."""
-        rng = as_generator(seed)
-        indices = rng.integers(0, self.n_users, size=self.n_users)
-        ids = tuple(self.user_ids[i] for i in indices) if self.user_ids else ()
-        return AudienceSamples(self.matrix[indices], self.floor, ids)
 
     def subset_rows(self, row_indices: Sequence[int]) -> "AudienceSamples":
         """Build a sample matrix restricted to a subset of users."""

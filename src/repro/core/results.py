@@ -44,11 +44,6 @@ class NPEstimate:
         """Smallest whole number of interests achieving the probability."""
         return int(np.ceil(self.n_p))
 
-    @property
-    def actionable_on_facebook(self) -> bool:
-        """True when the required interests fit the 25-interest platform cap."""
-        return self.required_interests <= 25
-
 
 @dataclass(frozen=True)
 class UniquenessReport:

@@ -126,16 +126,6 @@ class RunManifest:
         self._entries[entry.scenario] = entry
         return self
 
-    def annotate(self, key: str, value: object) -> "RunManifest":
-        """Attach a run-level note (e.g. which retry clock the sweep used).
-
-        Notes are JSON-scalar metadata about *how* the run was executed —
-        they ride along in :meth:`to_dict`/:meth:`save` but never affect
-        entry matching or the resume contract.
-        """
-        self._notes[key] = value
-        return self
-
     @property
     def notes(self) -> dict:
         """Run-level metadata notes (a copy)."""

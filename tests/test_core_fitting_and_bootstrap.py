@@ -186,6 +186,10 @@ class TestBootstrapCutpoints:
         with pytest.raises(ModelError, match=r"within \(0, 100\)"):
             bootstrap_cutpoints(samples, [50.0, q_percent], n_bootstrap=10, seed=1)
 
+    def test_no_quantile_rejected(self, samples):
+        with pytest.raises(ModelError, match="at least one quantile"):
+            bootstrap_cutpoints(samples, [], n_bootstrap=3, seed=1)
+
     def test_deterministic_given_seed(self, samples):
         first = bootstrap_cutpoints(samples, [50.0], n_bootstrap=30, seed=9)
         second = bootstrap_cutpoints(samples, [50.0], n_bootstrap=30, seed=9)

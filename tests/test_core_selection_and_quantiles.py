@@ -123,12 +123,6 @@ class TestAudienceSamples:
         samples = _samples()
         assert samples.audience_quantile(50.0, 1) == pytest.approx(1250.0)
 
-    def test_bootstrap_resample_preserves_shape(self):
-        samples = _samples()
-        resampled = samples.bootstrap_resample(seed=1)
-        assert resampled.matrix.shape == samples.matrix.shape
-        assert resampled.floor == samples.floor
-
     def test_subset_rows(self):
         samples = _samples()
         subset = samples.subset_rows([0, 2])

@@ -12,6 +12,8 @@ materialising it.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -639,6 +641,33 @@ class TestShardedBootstrap:
         )
         for q in self.QS:
             assert np.array_equal(serial_cutpoints[q], sharded[q], equal_nan=True)
+
+    def test_thread_route_memory_is_bounded(self):
+        # The sharded route draws every chunk before dispatch; each task
+        # carries 2-byte draw counts for 1,000 users, not int64 indices
+        # (8 bytes a cell on their own).
+        rng = np.random.default_rng(5)
+        matrix = -np.sort(-rng.uniform(20.0, 1e6, size=(1_000, 4)), axis=1)
+        samples = AudienceSamples(matrix=matrix, floor=20)
+        n_bootstrap = 8_000
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            bootstrap_cutpoints(
+                samples,
+                self.QS,
+                n_bootstrap=n_bootstrap,
+                seed=3,
+                executor=ShardExecutor(backend="thread", workers=2),
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 4 * n_bootstrap * samples.n_users
 
     def test_estimate_threads_executor_into_bootstrap(self, simulation):
         api = fresh_legacy_api(simulation)

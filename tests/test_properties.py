@@ -139,27 +139,6 @@ class TestQuantileProperties:
         assert np.all(high + 1e-9 >= low)
 
     @COMMON_SETTINGS
-    @given(
-        data=st.lists(
-            st.lists(
-                st.floats(min_value=20.0, max_value=1e9, allow_nan=False),
-                min_size=4,
-                max_size=4,
-            ),
-            min_size=4,
-            max_size=30,
-        ),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_bootstrap_resample_stays_within_observed_values(self, data, seed):
-        matrix = np.asarray(data, dtype=float)
-        samples = AudienceSamples(matrix=matrix, floor=20)
-        resampled = samples.bootstrap_resample(seed=seed)
-        observed = set(np.round(matrix.ravel(), 6))
-        resampled_values = set(np.round(resampled.matrix.ravel(), 6))
-        assert resampled_values <= observed
-
-    @COMMON_SETTINGS
     @given(probability=st.floats(min_value=0.001, max_value=0.999))
     def test_probability_percentile_round_trip(self, probability):
         assert probability_to_percentile(probability) == pytest.approx(probability * 100)
