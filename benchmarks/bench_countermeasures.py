@@ -31,7 +31,7 @@ def test_countermeasures_block_nanotargeting(benchmark, bench_sim):
         bench_sim.reach_model, platform=PlatformConfig.modern_2020(), clock=SimClock()
     )
     baseline_experiment = NanotargetingExperiment(baseline_api, engine, config, seed=83)
-    targets = baseline_experiment.select_targets(bench_sim.panel.users)
+    targets = baseline_experiment.select_targets(bench_sim.panel)
     baseline = baseline_experiment.run(targets)
 
     protected_api = AdsManagerAPI(

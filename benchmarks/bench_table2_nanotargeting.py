@@ -18,7 +18,7 @@ def test_table2_nanotargeting_experiment(benchmark, bench_sim):
     experiment = bench_sim.nanotargeting_experiment(seed=20211102)
 
     report = benchmark.pedantic(
-        lambda: experiment.run(candidates=bench_sim.panel.users), rounds=1, iterations=1
+        lambda: experiment.run(candidates=bench_sim.panel), rounds=1, iterations=1
     )
 
     print("\nTable 2 — nanotargeting experiment")

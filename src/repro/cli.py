@@ -45,6 +45,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import build_simulation, default_config, quick_config
 from .analysis import format_records, format_table
 from .cache import (
@@ -170,7 +172,7 @@ def cmd_nanotargeting(args: argparse.Namespace) -> int:
     """Run the nanotargeting experiment (Table 2)."""
     simulation = _build(args)
     experiment = simulation.nanotargeting_experiment(seed=args.seed)
-    report = experiment.run(candidates=simulation.panel.users)
+    report = experiment.run(candidates=simulation.panel)
     print(format_records(report.table_rows()))
     print(
         f"successful campaigns: {report.success_count}/{report.n_campaigns}  "
@@ -188,12 +190,13 @@ def cmd_fdvt_report(args: argparse.Namespace) -> int:
     if args.user_id is not None:
         user = simulation.panel.get(args.user_id)
     else:
-        eligible = [
-            u for u in simulation.panel.users if u.interest_count >= args.min_interests
-        ]
-        if not eligible:
+        # The first row with the fewest interests at or above the minimum.
+        columns = simulation.panel.columns
+        counts = columns.interest_counts()
+        eligible = np.flatnonzero(counts >= args.min_interests)
+        if not eligible.size:
             raise PanelError(f"no panellist holds at least {args.min_interests} interests")
-        user = min(eligible, key=lambda u: u.interest_count)
+        user = columns.user_at(int(eligible[np.argmin(counts[eligible])]))
     report = extension.build_risk_report(user)
     rows = [
         [entry.name[:48], entry.risk.value, entry.audience_size]
@@ -210,7 +213,7 @@ def cmd_countermeasures(args: argparse.Namespace) -> int:
     """Evaluate the Section 8.3 countermeasures."""
     simulation = _build(args)
     experiment = simulation.nanotargeting_experiment(seed=args.seed)
-    targets = experiment.select_targets(simulation.panel.users)
+    targets = experiment.select_targets(simulation.panel)
     baseline = experiment.run(targets)
 
     protected_simulation = build_simulation(simulation.config, seed=args.seed)

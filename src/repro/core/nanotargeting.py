@@ -35,6 +35,7 @@ from ..delivery import (
     DeliveryOutcome,
 )
 from ..errors import CampaignRejectedError, ModelError
+from ..fdvt.panel import FDVTPanel
 from ..population.user import SyntheticUser
 
 
@@ -190,22 +191,27 @@ class NanotargetingExperiment:
 
     # -- planning -----------------------------------------------------------------
 
-    def select_targets(self, candidates: Sequence[SyntheticUser]) -> list[SyntheticUser]:
-        """Pick the targeted users (the "authors") among eligible candidates.
+    def select_targets(self, panel: FDVTPanel) -> list[SyntheticUser]:
+        """Pick the targeted users (the "authors") among the panel's eligible rows.
 
-        A candidate is eligible when they carry at least as many interests
-        as the largest campaign size.
+        A panellist is eligible when they carry at least as many interests
+        as the largest campaign size.  Eligibility is read off the panel's
+        interest counts, the draw picks ``n_targets`` of the eligible rows
+        (in row order) on the ``target-selection`` stream, and only the
+        chosen rows are decoded into :class:`SyntheticUser` objects.  A
+        caller holding a list of users passes ``panel.subset(users)``.
         """
         needed = max(self._config.interest_counts)
-        eligible = [user for user in candidates if user.interest_count >= needed]
-        if len(eligible) < self._config.n_targets:
+        columns = panel.columns
+        eligible = np.flatnonzero(columns.interest_counts() >= needed)
+        if eligible.size < self._config.n_targets:
             raise ModelError(
-                f"only {len(eligible)} candidates have >= {needed} interests; "
+                f"only {eligible.size} candidates have >= {needed} interests; "
                 f"{self._config.n_targets} targets are required"
             )
         rng = derive_generator(self._base_seed, "target-selection")
-        indices = rng.choice(len(eligible), size=self._config.n_targets, replace=False)
-        return [eligible[int(i)] for i in sorted(indices)]
+        indices = rng.choice(eligible.size, size=self._config.n_targets, replace=False)
+        return [columns.user_at(int(eligible[i])) for i in np.sort(indices)]
 
     def plan_interest_sets(self, target: SyntheticUser) -> dict[int, tuple[int, ...]]:
         """Nested random interest subsets for one target (paper Section 5.1)."""
@@ -277,11 +283,11 @@ class NanotargetingExperiment:
     # -- execution -------------------------------------------------------------------
 
     def run(self, targets: Sequence[SyntheticUser] | None = None, *,
-            candidates: Sequence[SyntheticUser] | None = None) -> ExperimentReport:
+            candidates: FDVTPanel | None = None) -> ExperimentReport:
         """Run the full experiment and return the Table 2 report.
 
         Either pass explicit ``targets`` (e.g. three specific panel users) or
-        ``candidates`` from which targets are selected automatically.
+        a ``candidates`` panel from which :meth:`select_targets` picks them.
         """
         if targets is None:
             if candidates is None:

@@ -124,10 +124,11 @@ class FDVTExtension:
         snapshot = self.collect_ad_preferences(user)
         if not snapshot.interest_ids:
             raise PanelError("the user has no interests to report on")
-        entries = []
-        for interest_id in snapshot.interest_ids:
-            audience = self.interest_audience_size(interest_id)
-            entries.append(self._risk_entry(interest_id, audience))
+        audiences = [self.interest_audience_size(i) for i in snapshot.interest_ids]
+        entries = self._risk_entries(
+            np.asarray(snapshot.interest_ids, dtype=np.int64),
+            np.asarray(audiences, dtype=np.int64),
+        )
         entries.sort(key=lambda entry: (entry.audience_size, entry.interest_id))
         return RiskReport(user_id=user.user_id, entries=tuple(entries))
 
@@ -139,41 +140,59 @@ class FDVTExtension:
     ) -> tuple[RiskReport, ...]:
         """Risk reports for many users from one batched audience query.
 
-        The interests of all users are deduplicated and their single-interest
-        Potential Reach values fetched as one bulk query — one API request
-        per *unique* interest instead of one per (user, interest)
-        occurrence.  The query rows run as shards of an
+        The interests of all users are deduplicated with one ``np.unique``
+        and their single-interest Potential Reach values fetched as one bulk
+        query — one API request per *unique* interest instead of one per
+        (user, interest) occurrence.  The query rows run as shards of an
         :class:`~repro.exec.ExecutionPlan` on ``executor`` (a serial
         :class:`~repro.exec.ShardExecutor` by default), with one merged
         bill, so reaches *and* accounting equal one
         :meth:`~repro.adsapi.AdsManagerAPI.estimate_reach_matrix` call for
-        every backend and worker count.  Each returned report is identical
-        to what :meth:`build_risk_report` would build for that user; a user
-        without interests raises :class:`PanelError` exactly like the
-        scalar path.
+        every backend and worker count.  One entry is built per unique
+        interest and shared by every report holding it (entries are frozen;
+        ``deactivated`` returns a copy).  The unique interests are ranked by
+        (audience size, interest id) with one ``lexsort``, and one integer
+        sort over (user, rank) keys orders every report at once.  Each
+        returned report is identical to what :meth:`build_risk_report`
+        would build for that user; a user without interests raises
+        :class:`PanelError` exactly like the scalar path.
         """
         for user in users:
             if not user.interest_ids:
                 raise PanelError("the user has no interests to report on")
-        unique_ids = sorted({i for user in users for i in user.interest_ids})
-        if not unique_ids:
+        if not users:
             return ()
-        id_matrix = np.asarray(unique_ids, dtype=np.int64)[:, None]
-        counts = np.ones(len(unique_ids), dtype=np.int64)
-        reaches = self._sharded_reach_matrix(
-            id_matrix, counts, executor or ShardExecutor()
+        counts = np.fromiter(
+            (user.interest_count for user in users), dtype=np.int64, count=len(users)
         )
-        # One entry per unique interest, shared by every report holding it
-        # (entries are frozen; ``deactivated`` returns a copy).
-        entry_by_id = {
-            interest_id: self._risk_entry(interest_id, int(reach))
-            for interest_id, reach in zip(unique_ids, reaches[:, 0])
-        }
+        flat_ids = np.fromiter(
+            (i for user in users for i in user.interest_ids),
+            dtype=np.int64,
+            count=int(counts.sum()),
+        )
+        unique_ids, inverse = np.unique(flat_ids, return_inverse=True)
+        reaches = self._sharded_reach_matrix(
+            unique_ids[:, None],
+            np.ones(unique_ids.size, dtype=np.int64),
+            executor or ShardExecutor(),
+        )[:, 0]
+        # Reaches are whole numbers: truncation is the scalar path's int().
+        audiences = reaches.astype(np.int64)
+        entries = self._risk_entries(unique_ids, audiences)
+        # Rank the unique interests by (audience size, id) once, then order
+        # every occurrence by one (user, rank) integer key.
+        by_rank = np.lexsort((unique_ids, audiences))
+        rank = np.empty_like(by_rank)
+        rank[by_rank] = np.arange(by_rank.size)
+        keys = np.repeat(np.arange(len(users)), counts) * by_rank.size + rank[inverse]
+        keys.sort()
+        order = by_rank[keys % by_rank.size].tolist()
         reports = []
-        for user in users:
-            entries = [entry_by_id[interest_id] for interest_id in user.interest_ids]
-            entries.sort(key=lambda entry: (entry.audience_size, entry.interest_id))
-            reports.append(RiskReport(user_id=user.user_id, entries=tuple(entries)))
+        stop = 0
+        for user, count in zip(users, counts.tolist()):
+            start, stop = stop, stop + count
+            entries_of_user = tuple(map(entries.__getitem__, order[start:stop]))
+            reports.append(RiskReport(user_id=user.user_id, entries=entries_of_user))
         return tuple(reports)
 
     def _sharded_reach_matrix(
@@ -210,13 +229,20 @@ class FDVTExtension:
         self._api.record_reach_bill(bill)
         return np.concatenate(blocks, axis=0)
 
-    def _risk_entry(self, interest_id: int, audience: int) -> InterestRiskEntry:
-        return InterestRiskEntry(
-            interest_id=interest_id,
-            name=self._catalog.name_of(interest_id),
-            risk=self._thresholds.classify(audience),
-            audience_size=audience,
-        )
+    def _risk_entries(
+        self, interest_ids: np.ndarray, audiences: np.ndarray
+    ) -> list[InterestRiskEntry]:
+        """One entry per (interest id, audience size) pair, in input order."""
+        names = self._catalog.names
+        classify = self._thresholds.classify
+        return [
+            InterestRiskEntry(interest_id, names[position], classify(audience), audience)
+            for interest_id, position, audience in zip(
+                interest_ids.tolist(),
+                self._catalog.positions(interest_ids).tolist(),
+                audiences.tolist(),
+            )
+        ]
 
     def remove_interest(self, user: SyntheticUser, interest_id: int) -> SyntheticUser:
         """Remove an interest from the user's ad preferences.

@@ -65,10 +65,10 @@ class RiskReport:
 
     def risk_counts(self) -> dict[RiskLevel, int]:
         """Number of active entries per risk level."""
-        counts = {level: 0 for level in RiskLevel}
-        for entry in self.active_entries:
-            counts[entry.risk] += 1
-        return counts
+        # ``list.count`` matches members by identity first, so no entry's
+        # level is hashed (an enum's ``__hash__`` runs in Python).
+        risks = [entry.risk for entry in self.active_entries]
+        return {level: risks.count(level) for level in RiskLevel}
 
     def remove(self, interest_id: int) -> "RiskReport":
         """Return a new report with ``interest_id`` marked inactive."""

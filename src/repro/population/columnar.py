@@ -207,7 +207,7 @@ class PanelColumns:
             country=self.country_codes[self.country_index[row]],
             gender=GENDER_TABLE[self.gender_index[row]],
             age=None if age == AGE_UNDISCLOSED else age,
-            interest_ids=tuple(int(i) for i in self.interest_row(row)),
+            interest_ids=tuple(self.interest_row(row).tolist()),
         )
 
     # -- object bridge ------------------------------------------------------------

@@ -88,6 +88,14 @@ TOP_50_COUNTRIES: tuple[Country, ...] = (
 
 _BY_CODE: dict[str, Country] = {country.code: country for country in TOP_50_COUNTRIES}
 
+#: Each Table 3 country's user count, and their sum (the 50-country base),
+#: computed once: ``location_fraction`` runs on every reach query that has
+#: a location list.
+_FB_USERS_BY_CODE: dict[str, int] = {
+    country.code: country.fb_users for country in TOP_50_COUNTRIES
+}
+_TOP_50_USER_BASE = sum(_FB_USERS_BY_CODE.values())
+
 #: Facebook monthly active users worldwide at the end of 2020 (Section 5).
 FB_WORLDWIDE_MAU_2020 = 2_800_000_000
 
@@ -117,11 +125,14 @@ def total_user_base(codes: Iterable[str] | None = None) -> int:
     experiment, which targeted the whole platform.
     """
     if codes is None:
-        return sum(country.fb_users for country in TOP_50_COUNTRIES)
+        return _TOP_50_USER_BASE
     codes = tuple(codes)
     if WORLDWIDE in codes:
         return FB_WORLDWIDE_MAU_2020
-    return sum(get_country(code).fb_users for code in codes)
+    try:
+        return sum(_FB_USERS_BY_CODE[code] for code in codes)
+    except KeyError as error:
+        raise UnknownLocationError(error.args[0]) from None
 
 
 def location_fraction(codes: Iterable[str] | None = None) -> float:
@@ -130,5 +141,4 @@ def location_fraction(codes: Iterable[str] | None = None) -> float:
     The worldwide sentinel yields a fraction greater than 1 because the
     2020 worldwide MAU exceeds the January 2017 50-country base.
     """
-    base = total_user_base(None)
-    return total_user_base(codes) / base
+    return total_user_base(codes) / _TOP_50_USER_BASE

@@ -235,7 +235,7 @@ class NanotargetingStudy:
 
     def plan(self) -> tuple:
         """The targeted users, selected exactly like a direct run."""
-        return tuple(self._experiment.select_targets(self.simulation.panel.users))
+        return tuple(self._experiment.select_targets(self.simulation.panel))
 
     def execute(self, executor: ShardExecutor | None = None) -> tuple:
         # Campaign delivery is inherently sequential (shared account, clock
@@ -357,8 +357,15 @@ class FDVTRiskStudy:
         )
 
     def plan(self) -> tuple:
-        """The first ``risk_users`` panel users (panel order), as in the bench."""
-        return tuple(self.simulation.panel.users[: self.spec.risk_users])
+        """The first ``risk_users`` panel users (panel order), as in the bench.
+
+        Only those rows are decoded into user objects; the rest of the
+        panel stays in its columns.
+        """
+        columns = self.simulation.panel.columns
+        return tuple(
+            columns.user_at(row) for row in range(min(self.spec.risk_users, len(columns)))
+        )
 
     def execute(self, executor: ShardExecutor | None = None) -> tuple:
         return self._extension.build_risk_reports(self.plan(), executor=executor)

@@ -43,7 +43,10 @@ kept out of ``src/`` because nothing but the parity checks runs it:
   per topic; the columnar ``InterestCatalog`` is pinned against it;
 * :func:`least_popular_reference` — least-popular ordering of CSR rows as
   one ``lexsort`` keyed ``(row, audience, id)``, the order the
-  popularity-rank key of ``repro.core.selection`` must reproduce.
+  popularity-rank key of ``repro.core.selection`` must reproduce;
+* :func:`select_targets_reference` — the nanotargeting target draw over a
+  list of user objects, the rule
+  ``NanotargetingExperiment.select_targets`` applies to a panel's columns.
 
 Importable from any test module (``import oracles``) and, with ``tests/``
 on ``sys.path``, from ``benchmarks/bench_perf_hot_paths.py``.
@@ -76,12 +79,18 @@ from repro.catalog.taxonomy import TOPICS, interest_name, topic_for_index
 from repro.config import CatalogConfig, ReproductionConfig
 from repro.core import (
     AudienceSamples,
+    NanotargetingExperiment,
     SelectionStrategy,
     StreamedAudienceSamples,
     fit_vas_many,
     masked_column_quantiles,
 )
-from repro.errors import CatalogError, PopulationError, UnknownInterestError
+from repro.errors import (
+    CatalogError,
+    ModelError,
+    PopulationError,
+    UnknownInterestError,
+)
 from repro.fdvt import FDVTPanel, PanelBuilder
 from repro.fdvt.panel import _bias_table
 from repro.population import (
@@ -833,3 +842,28 @@ def reference_population(
             )
         )
     return PanelColumns.from_users(users)
+
+
+# -- nanotargeting -------------------------------------------------------------------
+
+
+def select_targets_reference(
+    experiment: NanotargetingExperiment, candidates: Sequence[SyntheticUser]
+) -> list[SyntheticUser]:
+    """Targets drawn from a list of user objects, in candidate order.
+
+    A candidate is eligible with at least as many interests as the largest
+    campaign size; ``n_targets`` eligible positions are drawn without
+    replacement on the experiment's ``target-selection`` stream.
+    """
+    config = experiment.config
+    needed = max(config.interest_counts)
+    eligible = [user for user in candidates if user.interest_count >= needed]
+    if len(eligible) < config.n_targets:
+        raise ModelError(
+            f"only {len(eligible)} candidates have >= {needed} interests; "
+            f"{config.n_targets} targets are required"
+        )
+    rng = derive_generator(experiment._base_seed, "target-selection")
+    indices = rng.choice(len(eligible), size=config.n_targets, replace=False)
+    return [eligible[int(i)] for i in sorted(indices)]

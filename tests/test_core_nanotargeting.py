@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import oracles
+from _builders import build_cached_simulation, fresh_modern_api
+from repro import quick_config
 from repro.adsapi import AdsManagerAPI
 from repro.config import ExperimentConfig, PlatformConfig
 from repro.core import NanotargetingExperiment, SuccessValidation
 from repro.delivery import ClickLog, DeliveryEngine
 from repro.errors import ModelError
+from repro.fdvt import FDVTPanel
+from repro.population import PanelColumns
 from repro.simclock import SimClock
+
+
+def _refuse_to_users(self):
+    raise AssertionError("the whole panel was decoded into user objects")
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +33,7 @@ def experiment_report(simulation):
     experiment = NanotargetingExperiment(
         api, engine, ExperimentConfig(seed=77), click_log=ClickLog(), seed=77
     )
-    report = experiment.run(candidates=simulation.panel.users)
+    report = experiment.run(candidates=simulation.panel)
     return api, experiment, report
 
 
@@ -33,19 +44,27 @@ class TestExperimentPlanning:
         )
         engine = DeliveryEngine(simulation.catalog, seed=1)
         experiment = NanotargetingExperiment(api, engine, ExperimentConfig(seed=3))
-        targets = experiment.select_targets(simulation.panel.users)
+        targets = experiment.select_targets(simulation.panel)
         assert len(targets) == 3
         assert all(user.interest_count >= 22 for user in targets)
 
-    def test_select_targets_fails_without_candidates(self, simulation):
+    def test_select_targets_fails_without_candidates(self, simulation, monkeypatch):
         api = AdsManagerAPI(
             simulation.reach_model, platform=PlatformConfig.modern_2020(), clock=SimClock()
         )
         engine = DeliveryEngine(simulation.catalog, seed=1)
         experiment = NanotargetingExperiment(api, engine, ExperimentConfig(seed=3))
-        poor_candidates = [u for u in simulation.panel.users if u.interest_count < 22][:2]
-        with pytest.raises(ModelError):
-            experiment.select_targets(poor_candidates)
+        # Two eligible panellists and four cut below 22 interests are too
+        # few for three targets; the error matches the user-list rule's.
+        eligible = [u for u in simulation.panel.users if u.interest_count >= 22]
+        short = [replace(u, interest_ids=u.interest_ids[:21]) for u in eligible[2:6]]
+        candidates = eligible[:2] + short
+        with pytest.raises(ModelError) as expected:
+            oracles.select_targets_reference(experiment, candidates)
+        monkeypatch.setattr(PanelColumns, "to_users", _refuse_to_users)
+        with pytest.raises(ModelError, match="only 2 candidates") as raised:
+            experiment.select_targets(simulation.panel.subset(candidates))
+        assert str(raised.value) == str(expected.value)
 
     def test_interest_sets_are_nested(self, simulation):
         api = AdsManagerAPI(
@@ -80,6 +99,40 @@ class TestExperimentPlanning:
         experiment = NanotargetingExperiment(api, engine, ExperimentConfig(seed=3))
         with pytest.raises(ModelError):
             experiment.run()
+
+
+class TestSelectTargetsMatchesOracle:
+    """The panel rule picks exactly the users the user-list rule picked,
+    decoding only the chosen rows."""
+
+    @pytest.mark.parametrize("factor, seed", [(50, 1), (80, 7), (20, 3)])
+    def test_same_targets_as_user_list_rule(self, factor, seed, monkeypatch):
+        simulation = build_cached_simulation(quick_config(factor=factor), seed=seed)
+        users = simulation.panel.users
+        # Two panellists in three cut below 22 interests, so the eligible
+        # rows are not the panel's rows.
+        thinned = FDVTPanel(
+            [
+                replace(user, interest_ids=user.interest_ids[:10]) if row % 3 else user
+                for row, user in enumerate(users)
+            ],
+            simulation.catalog,
+        )
+        cases = []
+        for panel in (simulation.panel, thinned):
+            for experiment_seed in (3, 77):
+                experiment = NanotargetingExperiment(
+                    fresh_modern_api(simulation),
+                    DeliveryEngine(simulation.catalog, seed=1),
+                    ExperimentConfig(seed=experiment_seed),
+                )
+                expected = oracles.select_targets_reference(experiment, panel.users)
+                # A fresh view with no decoded users behind it.
+                view = FDVTPanel.from_columns(panel.columns, simulation.catalog)
+                cases.append((experiment, view, expected))
+        monkeypatch.setattr(PanelColumns, "to_users", _refuse_to_users)
+        for experiment, view, expected in cases:
+            assert experiment.select_targets(view) == expected
 
 
 class TestExperimentResults:

@@ -73,7 +73,7 @@ class TestProtectedExperiment:
         engine = DeliveryEngine(simulation.catalog, seed=5)
         config = ExperimentConfig(seed=11)
         experiment = NanotargetingExperiment(api, engine, config, seed=11)
-        targets = experiment.select_targets(simulation.panel.users)
+        targets = experiment.select_targets(simulation.panel)
         baseline = experiment.run(targets)
         # A fresh account is needed because the baseline run gets suspended.
         protected_api = AdsManagerAPI(

@@ -482,7 +482,7 @@ class TestProtectedExperimentBinding:
         )
         engine = DeliveryEngine(simulation.catalog, seed=5)
         experiment = NanotargetingExperiment(other_api, engine, seed=11)
-        targets = experiment.select_targets(simulation.panel.users)
+        targets = experiment.select_targets(simulation.panel)
         with pytest.raises(ModelError):
             run_protected_experiment(
                 api,
@@ -500,7 +500,7 @@ class TestProtectedExperimentBinding:
         )
         engine = DeliveryEngine(simulation.catalog, seed=5)
         experiment = NanotargetingExperiment(api, engine, seed=11)
-        targets = experiment.select_targets(simulation.panel.users)
+        targets = experiment.select_targets(simulation.panel)
         # Pre-install a rule equal to an installed one: list.remove would
         # have deleted this one and left the appended copy mid-list.
         preexisting = [MinActiveAudienceRule(min_active_users=1_000), InterestCapRule()]

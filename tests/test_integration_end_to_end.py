@@ -34,7 +34,7 @@ class TestUniquenessToNanotargetingConsistency:
             locations=country_codes(),
         )
         experiment = simulation.nanotargeting_experiment(seed=7)
-        report = experiment.run(candidates=simulation.panel.users)
+        report = experiment.run(candidates=simulation.panel)
         return simulation, model, report
 
     def test_table1_ordering(self, stack):

@@ -164,7 +164,7 @@ class TestReportSerialisation:
     def test_experiment_report_serialisation(self, simulation, tmp_path):
         experiment = build_simulation(quick_config(factor=80)).nanotargeting_experiment()
         report = experiment.run(
-            candidates=build_simulation(quick_config(factor=80)).panel.users
+            candidates=build_simulation(quick_config(factor=80)).panel
         )
         payload = experiment_report_to_dict(report)
         assert payload["n_campaigns"] == 21

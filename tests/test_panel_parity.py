@@ -39,6 +39,7 @@ from repro.reach import StatisticalReachModel, country_codes
 from repro.simclock import SimClock
 
 import oracles
+from _builders import fresh_legacy_api, fresh_modern_api
 
 
 @pytest.fixture(scope="module")
@@ -379,18 +380,24 @@ class TestBatchedRiskReports:
         return [u for u in candidates if u.interest_count >= 5][:4]
 
     def test_reports_identical_to_scalar_path(self, simulation, modern_api, users):
-        extension = FDVTExtension(modern_api, simulation.catalog)
-        batched = extension.build_risk_reports(users)
-        scalar_extension = FDVTExtension(
-            AdsManagerAPI(
-                simulation.reach_model,
-                platform=PlatformConfig.modern_2020(),
-                clock=SimClock(),
-            ),
-            simulation.catalog,
-        )
-        for user, report in zip(users, batched):
-            assert report == scalar_extension.build_risk_report(user)
+        # Small panellists on the 2020 API, then the three largest on the
+        # 2017 API (floor 20): they share interests, and the interests
+        # reported at the floor tie on audience, so the id tie-break
+        # decides their order.
+        large = sorted(simulation.panel.users, key=lambda u: u.interest_count)[-3:]
+        cases = [
+            (modern_api, fresh_modern_api, users),
+            (fresh_legacy_api(simulation), fresh_legacy_api, large),
+        ]
+        for api, fresh_api, group in cases:
+            batched = FDVTExtension(api, simulation.catalog).build_risk_reports(group)
+            scalar_extension = FDVTExtension(fresh_api(simulation), simulation.catalog)
+            assert len(batched) == len(group)
+            for user, report in zip(group, batched):
+                assert report == scalar_extension.build_risk_report(user)
+        assert set(large[0].interest_ids) & set(large[1].interest_ids)
+        at_floor = [e for e in batched[0].entries if e.audience_size == 20]
+        assert len(at_floor) >= 2
 
     def test_unique_interests_queried_once(self, simulation, modern_api, users):
         extension = FDVTExtension(modern_api, simulation.catalog)

@@ -144,7 +144,7 @@ class TestCompareTable1:
 class TestCompareTable2:
     def test_on_simulated_experiment(self, simulation):
         experiment = simulation.nanotargeting_experiment(seed=3)
-        report = experiment.run(candidates=simulation.panel.users)
+        report = experiment.run(candidates=simulation.panel)
         comparison = compare_table2(report)
         names = {check.name for check in comparison.checks}
         assert "successful campaigns" in names

@@ -74,3 +74,14 @@ class TestUserBaseArithmetic:
     def test_unknown_location_raises(self):
         with pytest.raises(UnknownLocationError):
             total_user_base(["ES", "XX"])
+        with pytest.raises(UnknownLocationError) as raised:
+            location_fraction(["ES", "XX", "YY"])
+        assert raised.value.code == "XX"
+
+    def test_location_fraction_matches_per_country_sums(self):
+        base = sum(country.fb_users for country in TOP_50_COUNTRIES)
+        assert location_fraction() == location_fraction(None) == 1.0
+        for codes in (["ES"], ["US", "IN", "HU"], list(country_codes())):
+            expected = sum(get_country(code).fb_users for code in codes) / base
+            assert location_fraction(codes) == expected
+        assert location_fraction([WORLDWIDE]) == FB_WORLDWIDE_MAU_2020 / base

@@ -24,6 +24,7 @@ from repro.countermeasures import InterestCapRule, evaluate_workload_impact
 from repro.errors import ConfigurationError, ModelError
 from repro.exec import ShardExecutor
 from repro.fdvt import FDVTExtension
+from repro.population import PanelColumns
 from _builders import build_cached_simulation
 from repro.scenarios import (
     ScenarioSpec,
@@ -109,6 +110,26 @@ class TestScenarioSpec:
             parse_rules(("frequency_cap",))
 
 
+class TestStudiesDecodeOnlyTheirRows:
+    """The panel studies read the columns and build only the users they use."""
+
+    @pytest.mark.parametrize(
+        "name", ["nanotargeting-table2", "nanotargeting-protected", "fdvt-risk"]
+    )
+    def test_runs_without_decoding_the_whole_panel(self, name, monkeypatch):
+        spec = replace(get_scenario(name), factor=FACTOR, seed=5)
+        expected = run_scenario(
+            spec, simulation=build_cached_simulation(spec.config(), seed=5)
+        )
+
+        def refuse(columns):
+            raise AssertionError("the whole panel was decoded into user objects")
+
+        monkeypatch.setattr(PanelColumns, "to_users", refuse)
+        # No cache: a freshly built panel has no decoded users behind it.
+        assert run_scenario(spec) == expected
+
+
 class TestRegistry:
     def test_builtins_cover_the_four_studies(self):
         studies = {spec.study for spec in list_scenarios()}
@@ -150,7 +171,7 @@ class TestStudyParity:
         result = run_scenario(spec)
         simulation = build_cached_simulation(spec.config(), seed=5)
         report = simulation.nanotargeting_experiment(seed=5).run(
-            candidates=simulation.panel.users
+            candidates=simulation.panel
         )
         assert result.table == tuple(report.table_rows())
         assert result.metric("success_count") == report.success_count
