@@ -10,7 +10,7 @@ when built from the same top-level seed.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -70,14 +70,3 @@ def derive_seed(base_seed: int, *keys: object) -> int:
 def derive_generator(base_seed: int, *keys: object) -> np.random.Generator:
     """Return a generator seeded from ``base_seed`` and ``keys``."""
     return np.random.default_rng(derive_seed(base_seed, *keys))
-
-
-def spawn_generators(seed: SeedLike, names: Iterable[str]) -> dict[str, np.random.Generator]:
-    """Spawn one independent generator per name in ``names``."""
-    if isinstance(seed, np.random.Generator):
-        base = int(seed.integers(0, 2**62))
-    elif seed is None:
-        base = _DEFAULT_SEED
-    else:
-        base = int(seed)
-    return {name: derive_generator(base, name) for name in names}

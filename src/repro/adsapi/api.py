@@ -140,11 +140,6 @@ class AdsManagerAPI:
         return self._clock
 
     @property
-    def custom_audiences(self) -> CustomAudienceManager:
-        """The Custom Audience manager for this account."""
-        return self._custom_audiences
-
-    @property
     def backend(self) -> ReachBackend:
         """The reach backend answering audience-size queries."""
         return self._backend

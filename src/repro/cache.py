@@ -2,8 +2,8 @@
 
 Sweeps and test suites compile many :class:`~repro.pipeline.Simulation`\\ s
 whose grid rows often differ only in *analysis* knobs (strategies,
-probabilities, API tier, countermeasure rules) while the expensive build
-stages — catalog generation and panel assembly — are identical.  This
+probabilities, countermeasure rules) while the expensive build stages —
+catalog generation and panel assembly — are identical.  This
 module provides the primitives that let those stages be shared:
 
 * :func:`stable_fingerprint` — the fingerprint contract.  A fingerprint is

@@ -26,12 +26,19 @@ sub-command per stage of the paper:
   process workers) hydrate through it.  ``REPRO_CACHE_SIZE`` bounds the
   in-process LRU in front of it.
 
+The study commands run the registered scenarios through
+:func:`~repro.scenarios.run_scenario`: ``uniqueness`` runs
+``uniqueness-table1``, ``nanotargeting`` runs ``nanotargeting-table2``, and
+``countermeasures`` runs that, ``nanotargeting-protected`` and
+``workload-impact`` on one shared catalog and panel build.
+
 Every sub-command accepts ``--factor`` (the scale divisor applied to the
-paper-scale configuration; 1 reproduces the full-scale study) and ``--seed``.
-The heavy commands (``uniqueness``, ``countermeasures``, ``scenario``)
-additionally take ``--workers`` / ``--exec-backend`` to run their
-panel-scale sweeps through the sharded execution layer (:mod:`repro.exec`);
-results are bit-identical for every backend and worker count.
+paper-scale configuration; at least 1, and 1 reproduces the full-scale
+study) and ``--seed``.  The heavy commands (``uniqueness``,
+``countermeasures``, ``scenario``) additionally take ``--workers`` /
+``--exec-backend`` to run their panel-scale sweeps through the sharded
+execution layer (:mod:`repro.exec`); results are bit-identical for every
+backend and worker count.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import build_simulation, default_config, quick_config
+from . import build_simulation, quick_config
 from .analysis import format_records, format_table
 from .cache import (
     BuildCache,
@@ -55,13 +62,8 @@ from .cache import (
     build_cache,
     resolve_cache_root,
 )
-from .campaigns import AdvertiserWorkloadGenerator
-from .countermeasures import (
-    evaluate_attack_protection,
-    evaluate_workload_impact,
-    recommended_rules,
-    run_protected_experiment,
-)
+from .core import ScenarioResult
+from .countermeasures import evaluate_attack_protection
 from .io import (
     experiment_report_to_dict,
     save_catalog,
@@ -107,11 +109,10 @@ _MANIFEST_AUTO = object()
 
 
 def _build(args: argparse.Namespace) -> Simulation:
-    config = default_config() if args.factor <= 1 else quick_config(factor=args.factor)
     # The process-global cache carries a disk tier when REPRO_CACHE_ROOT
     # is set, so repeat (and warmed) CLI runs hydrate the catalog/panel
     # stages from disk; results are bit-identical either way.
-    return build_simulation(config, seed=args.seed, cache=build_cache())
+    return build_simulation(quick_config(args.factor), seed=args.seed, cache=build_cache())
 
 
 def _executor_from_args(args: argparse.Namespace) -> ShardExecutor | None:
@@ -123,6 +124,16 @@ def _executor_from_args(args: argparse.Namespace) -> ShardExecutor | None:
     return ShardExecutor(
         backend=backend or ("thread" if workers > 1 else "serial"), workers=workers
     )
+
+
+def _study(name: str, args: argparse.Namespace, **fields) -> ScenarioResult:
+    """Run the registered scenario ``name`` at the command's --factor/--seed.
+
+    Builds go through the process-global cache, so the scenarios one
+    command runs share one catalog and panel build.
+    """
+    spec = replace(get_scenario(name), factor=args.factor, seed=args.seed, **fields)
+    return run_scenario(spec, executor=_executor_from_args(args), cache=build_cache())
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -149,30 +160,22 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def cmd_uniqueness(args: argparse.Namespace) -> int:
-    """Estimate N_P for both selection strategies (Table 1)."""
-    simulation = _build(args)
-    model = simulation.uniqueness_model()
-    executor = _executor_from_args(args)
-    strategies = simulation.strategies()
-    probabilities = tuple(args.probabilities)
-    rows = []
-    payload = {}
-    for strategy in strategies:
-        report = model.estimate(
-            strategy, probabilities=probabilities, executor=executor
-        )
-        rows.append(report.table_row())
-        payload[strategy.name] = uniqueness_report_to_dict(report)
-    print(format_records(rows))
-    _write_json(args.output, payload)
+    """Estimate N_P for both selection strategies (Table 1).
+
+    Runs the registered ``uniqueness-table1`` scenario at --probabilities.
+    """
+    result = _study("uniqueness-table1", args, probabilities=tuple(args.probabilities))
+    print(format_records(result.table))
+    _write_json(
+        args.output,
+        {report.strategy_name: uniqueness_report_to_dict(report) for report in result.raw},
+    )
     return 0
 
 
 def cmd_nanotargeting(args: argparse.Namespace) -> int:
-    """Run the nanotargeting experiment (Table 2)."""
-    simulation = _build(args)
-    experiment = simulation.nanotargeting_experiment(seed=args.seed)
-    report = experiment.run(candidates=simulation.panel)
+    """Run the nanotargeting experiment (Table 2): the ``nanotargeting-table2`` scenario."""
+    report = _study("nanotargeting-table2", args).raw
     print(format_records(report.table_rows()))
     print(
         f"successful campaigns: {report.success_count}/{report.n_campaigns}  "
@@ -210,31 +213,17 @@ def cmd_fdvt_report(args: argparse.Namespace) -> int:
 
 
 def cmd_countermeasures(args: argparse.Namespace) -> int:
-    """Evaluate the Section 8.3 countermeasures."""
-    simulation = _build(args)
-    experiment = simulation.nanotargeting_experiment(seed=args.seed)
-    targets = experiment.select_targets(simulation.panel)
-    baseline = experiment.run(targets)
+    """Evaluate the Section 8.3 countermeasures.
 
-    protected_simulation = build_simulation(simulation.config, seed=args.seed)
-    protected_experiment = protected_simulation.nanotargeting_experiment(seed=args.seed)
-    protected = run_protected_experiment(
-        protected_simulation.campaign_api,
-        protected_simulation.delivery_engine,
-        [protected_simulation.panel.get(t.user_id) for t in targets],
-        list(recommended_rules()),
-        experiment=protected_experiment,
-    )
+    Runs three registered scenarios, which share one catalog and panel
+    build: ``nanotargeting-table2`` (the baseline attack),
+    ``nanotargeting-protected`` (the same attack under the recommended
+    rules) and ``workload-impact`` (the interest cap on a benign workload).
+    """
+    baseline = _study("nanotargeting-table2", args).raw
+    protected = _study("nanotargeting-protected", args).raw
+    impact = _study("workload-impact", args, workload_size=args.workload_size).raw
     effectiveness = evaluate_attack_protection(baseline, protected)
-    workload = AdvertiserWorkloadGenerator(simulation.catalog).generate(
-        args.workload_size, seed=args.seed or 0
-    )
-    impact = evaluate_workload_impact(
-        simulation.campaign_api,
-        workload,
-        [recommended_rules()[0]],
-        executor=_executor_from_args(args),
-    )
     print(f"baseline successes : {baseline.success_count}/{baseline.n_campaigns}")
     print(f"protected successes: {protected.success_count}/{protected.n_campaigns}")
     print(f"attack reduction   : {effectiveness.attack_reduction:.0%}")
@@ -283,10 +272,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
     if args.seed is not None:
         overrides["seed"] = args.seed
     return replace(spec, **overrides) if overrides else spec
-
-
-def _scenario_with_overrides(args: argparse.Namespace) -> ScenarioSpec:
-    return _apply_overrides(get_scenario(args.name), args)
 
 
 def _load_spec_file(path: str, args: argparse.Namespace) -> tuple[ScenarioSpec, ...]:
@@ -363,9 +348,26 @@ def _load_spec_file(path: str, args: argparse.Namespace) -> tuple[ScenarioSpec, 
     raise SystemExit(f"--spec {path}: expected a JSON list or object")
 
 
+def _grid_specs(args: argparse.Namespace) -> tuple[ScenarioSpec, ...]:
+    """The grid of a ``--spec`` file, or of a scenario name plus ``--grid`` axes.
+
+    ``()`` when neither a name nor ``--spec`` is given.
+    """
+    if args.spec is not None:
+        if args.name is not None:
+            raise SystemExit("give either a registered scenario name or --spec, not both")
+        if args.grid:
+            raise SystemExit("--grid belongs in the --spec file's 'grid' object")
+        return _load_spec_file(args.spec, args)
+    if args.name is None:
+        return ()
+    base = _apply_overrides(get_scenario(args.name), args)
+    return expand_grid(base, _parse_grid(args.grid))
+
+
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     """Run one registered scenario through the Experiment protocol."""
-    spec = _scenario_with_overrides(args)
+    spec = _apply_overrides(get_scenario(args.name), args)
     result = run_scenario(spec, executor=_executor_from_args(args))
     print(f"scenario {result.scenario} ({result.study}, seed={result.seed})")
     for line in result.summary:
@@ -430,17 +432,9 @@ def cmd_scenario_sweep(args: argparse.Namespace) -> int:
     ``--fault-rate`` injects deterministic chaos for drills.  Exit
     status is 1 when any scenario dead-lettered.
     """
-    if args.spec is not None:
-        if args.name is not None:
-            raise SystemExit("give either a registered scenario name or --spec, not both")
-        if args.grid:
-            raise SystemExit("--grid belongs in the --spec file's 'grid' object")
-        specs = _load_spec_file(args.spec, args)
-    else:
-        if args.name is None:
-            raise SystemExit("a registered scenario name (or --spec FILE) is required")
-        base = _scenario_with_overrides(args)
-        specs = expand_grid(base, _parse_grid(args.grid))
+    if args.name is None and args.spec is None:
+        raise SystemExit("a registered scenario name (or --spec FILE) is required")
+    specs = _grid_specs(args)
     executor = _executor_from_args(args) or ShardExecutor()
     retry, faults = _sweep_fault_layer(args)
     runner = SweepRunner(
@@ -490,20 +484,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the always-on reach service against a (generated or saved) trace.
 
     Builds a warm simulation, stands up a :class:`~repro.service.ReachService`
-    over a fresh modern-platform API, replays a request trace through it
-    (``--trace FILE`` for a saved one, otherwise a seeded synthetic
-    workload from ``--duration``/``--rps``/``--tenants``) and prints the
-    run report: status counts, shed rate, P50/P99 virtual latency and
-    throughput.  ``--fault-rate`` injects deterministic chaos into the
-    service tick; ``--verify-parity`` re-checks every served answer
-    against a direct bulk call and fails loudly on any mismatch.
+    over its fresh modern-platform ``campaign_api``, replays a request trace
+    through it (``--trace FILE`` for a saved one, otherwise a seeded
+    synthetic workload from ``--duration``/``--rps``/``--tenants``) and
+    prints the run report: status counts, shed rate, P50/P99 virtual
+    latency and throughput.  ``--fault-rate`` injects deterministic chaos
+    into the service tick; ``--verify-parity`` re-checks every served
+    answer against a direct bulk call and fails loudly on any mismatch.
     """
     simulation = _build(args)
-    api = AdsManagerAPI(
-        simulation.reach_model,
-        platform=PlatformConfig.modern_2020(),
-        clock=SimClock(),
-    )
     config = ServiceConfig(
         tenant_requests_per_minute=args.tenant_rpm,
         tenant_burst=args.tenant_burst,
@@ -513,7 +502,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_timeout_seconds=args.timeout_seconds,
     )
     retry, faults = _sweep_fault_layer(args)
-    service = ReachService(api, config=config, retry=retry, faults=faults)
+    service = ReachService(
+        simulation.campaign_api, config=config, retry=retry, faults=faults
+    )
     if args.trace:
         trace = RequestTrace.load(args.trace)
         print(f"loaded trace: {args.trace} ({len(trace)} requests)")
@@ -693,28 +684,13 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
     """
     disk = _cache_disk(args)
     cache = BuildCache(disk=disk)
-    if args.spec is not None:
-        if args.name is not None:
-            raise SystemExit("give either a registered scenario name or --spec, not both")
-        if args.grid:
-            raise SystemExit("--grid belongs in the --spec file's 'grid' object")
-        specs = _load_spec_file(args.spec, args)
-    elif args.name is not None:
-        base = _scenario_with_overrides(args)
-        specs = expand_grid(base, _parse_grid(args.grid))
-    else:
-        specs = ()
+    specs = _grid_specs(args)
     if specs:
         if args.sweep_seed is not None:
             specs = tuple(spec.derived(args.sweep_seed) for spec in specs)
         jobs = [(spec.config(), spec.seed) for spec in specs]
     else:
-        config = (
-            default_config()
-            if (args.factor or 20) <= 1
-            else quick_config(factor=args.factor or 20)
-        )
-        jobs = [(config, args.seed)]
+        jobs = [(quick_config(20 if args.factor is None else args.factor), args.seed)]
     seen: set[str] = set()
     for config, seed in jobs:
         stage_key = panel_fingerprint(config, seed)

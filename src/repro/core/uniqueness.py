@@ -200,10 +200,3 @@ class UniquenessModel:
             n_users=samples.n_users,
             floor=samples.floor,
         )
-
-    def estimate_single(
-        self, strategy: SelectionStrategy, probability: float
-    ) -> NPEstimate:
-        """Convenience wrapper returning the estimate for one probability."""
-        report = self.estimate(strategy, probabilities=[probability])
-        return report.estimate_for(probability)

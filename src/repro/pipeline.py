@@ -61,7 +61,13 @@ from .simclock import SimClock
 
 @dataclass(frozen=True)
 class Simulation:
-    """Every component needed to reproduce the paper, pre-wired."""
+    """Every component needed to reproduce the paper, pre-wired.
+
+    The constructors below are the one place each study is wired: the
+    scenario adapters (:mod:`repro.scenarios.experiments`), and through
+    them the CLI's study commands, take their model, experiment, extension
+    and strategies from here.
+    """
 
     config: ReproductionConfig
     catalog: InterestCatalog
@@ -72,7 +78,7 @@ class Simulation:
     delivery_engine: DeliveryEngine
     click_log: ClickLog
 
-    # -- convenience constructors of the paper's two analyses --------------------
+    # -- constructors of the paper's studies -------------------------------------
 
     def uniqueness_model(self) -> UniquenessModel:
         """The Section 4 model, bound to the 2017 platform and the 50-country base."""

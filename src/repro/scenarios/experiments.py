@@ -1,56 +1,54 @@
 """The uniform Experiment protocol and the four paper-study adapters.
 
-Every study runs through the same four-stage shape —
+Every study runs through the same three-stage shape —
 
-    plan() → execute(executor) → merge(parts) → summarize(merged)
+    plan() → execute(executor) → summarize(raw)
 
 — where ``plan`` resolves the units of work (strategies, targets, workload
 specs, panel users), ``execute`` runs them (threading an optional
-:class:`~repro.exec.ShardExecutor` into every stage that can shard),
-``merge`` combines per-unit parts, and ``summarize`` reduces everything
-into the canonical :class:`~repro.core.results.ScenarioResult`.
+:class:`~repro.exec.ShardExecutor` into every stage that can shard) and
+returns the study's raw result, and ``summarize`` reduces it into the
+canonical :class:`~repro.core.results.ScenarioResult`.
 :func:`run_experiment` chains the stages and :func:`run_scenario` is the
-one-call entry point a :class:`~repro.scenarios.sweep.SweepRunner` (or the
-``repro scenario run`` CLI) fans out.
+one-call entry point a :class:`~repro.scenarios.sweep.SweepRunner`, the
+``repro scenario run`` CLI and the CLI's study commands fan out.
 
-The adapters are deliberately thin: they wire the *existing* study
-implementations — :class:`~repro.core.UniquenessModel`,
-:class:`~repro.core.NanotargetingExperiment`,
-:func:`~repro.countermeasures.evaluate_workload_impact`,
-:meth:`~repro.fdvt.FDVTExtension.build_risk_reports` — with exactly the
-arguments the hand-wired examples and CLI pass, so every scenario result is
-bit-identical to its pre-scenario direct invocation (pinned by
-``tests/test_scenarios.py``).
+The adapters are deliberately thin: each study is wired in one place, the
+:class:`~repro.pipeline.Simulation` constructors
+(:meth:`~repro.pipeline.Simulation.uniqueness_model`,
+:meth:`~repro.pipeline.Simulation.nanotargeting_experiment`,
+:meth:`~repro.pipeline.Simulation.fdvt_extension`, and the
+``campaign_api`` for :func:`~repro.countermeasures.evaluate_workload_impact`),
+so every scenario result is bit-identical to the direct invocation it
+stands for (pinned by ``tests/test_scenarios.py``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Protocol, Sequence, runtime_checkable
 
-from .._rng import derive_seed
-from ..adsapi import AdsManagerAPI
 from ..cache import BuildCache
 from ..campaigns import AdvertiserWorkloadGenerator
-from ..core import NanotargetingExperiment, UniquenessModel
-from ..core.results import ScenarioResult
-from ..core.selection import LeastPopularSelection, RandomSelection, SelectionStrategy
+from ..core import ExperimentReport, UniquenessModel
+from ..core.results import ScenarioResult, UniquenessReport
+from ..core.selection import SelectionStrategy
 from ..countermeasures import (
     InterestCapRule,
     MinActiveAudienceRule,
+    WorkloadImpact,
     evaluate_workload_impact,
     run_protected_experiment,
 )
 from ..errors import ConfigurationError
 from ..exec import ShardExecutor
-from ..fdvt import FDVTExtension
+from ..fdvt import RiskReport
 from ..pipeline import Simulation
-from ..reach import country_codes
 from .spec import ScenarioSpec
 
 
 @runtime_checkable
 class Experiment(Protocol):
-    """One study bound to a compiled simulation, runnable in four stages."""
+    """One study bound to a compiled simulation, runnable in three stages."""
 
     spec: ScenarioSpec
 
@@ -58,15 +56,11 @@ class Experiment(Protocol):
         """Resolve the units of work (deterministic, no heavy compute)."""
         ...  # pragma: no cover - protocol definition
 
-    def execute(self, executor: ShardExecutor | None = None) -> Sequence[Any]:
-        """Run every planned unit, optionally sharded across ``executor``."""
+    def execute(self, executor: ShardExecutor | None = None) -> Any:
+        """Run every planned unit, optionally sharded; return the raw result."""
         ...  # pragma: no cover - protocol definition
 
-    def merge(self, parts: Sequence[Any]) -> Any:
-        """Combine per-unit parts into the study's raw result."""
-        ...  # pragma: no cover - protocol definition
-
-    def summarize(self, merged: Any) -> ScenarioResult:
+    def summarize(self, raw: Any) -> ScenarioResult:
         """Reduce the raw result into the canonical scenario result."""
         ...  # pragma: no cover - protocol definition
 
@@ -74,8 +68,8 @@ class Experiment(Protocol):
 def run_experiment(
     experiment: Experiment, executor: ShardExecutor | None = None
 ) -> ScenarioResult:
-    """Drive one experiment through execute → merge → summarize."""
-    return experiment.summarize(experiment.merge(experiment.execute(executor)))
+    """Drive one experiment through execute → summarize."""
+    return experiment.summarize(experiment.execute(executor))
 
 
 def build_experiment(
@@ -140,18 +134,6 @@ def parse_rules(names: Sequence[str]) -> tuple:
     return tuple(rules)
 
 
-def _resolve_api(spec: ScenarioSpec, simulation: Simulation, default: str) -> AdsManagerAPI:
-    """The platform API a study runs against under ``spec.api_tier``."""
-    tier = default if spec.api_tier == "auto" else spec.api_tier
-    return simulation.uniqueness_api if tier == "legacy_2017" else simulation.campaign_api
-
-
-def _resolve_locations(spec: ScenarioSpec, default: str) -> tuple[str, ...] | None:
-    """The query-location list under ``spec.locations`` (None = worldwide)."""
-    mix = default if spec.locations == "auto" else spec.locations
-    return None if mix == "worldwide" else country_codes()
-
-
 # -- the four study adapters ------------------------------------------------------
 
 
@@ -161,22 +143,8 @@ class UniquenessStudy:
     def __init__(self, spec: ScenarioSpec, simulation: Simulation) -> None:
         self.spec = spec
         self.simulation = simulation
-        config = simulation.config
-        self._model = UniquenessModel(
-            _resolve_api(spec, simulation, "legacy_2017"),
-            simulation.panel,
-            config.uniqueness,
-            locations=_resolve_locations(spec, "countries"),
-        )
-        # The same strategy objects Simulation.strategies() hands the
-        # hand-wired examples — in particular the random strategy's derived
-        # seed — so scenario collections match direct runs bit-for-bit.
-        by_name: dict[str, SelectionStrategy] = {
-            "least_popular": LeastPopularSelection(),
-            "random": RandomSelection(
-                seed=derive_seed(config.uniqueness.seed, "random-strategy")
-            ),
-        }
+        self._model = simulation.uniqueness_model()
+        by_name = {strategy.name: strategy for strategy in simulation.strategies()}
         self._strategies = tuple(by_name[name] for name in spec.strategies)
 
     @property
@@ -187,21 +155,19 @@ class UniquenessStudy:
     def plan(self) -> tuple[SelectionStrategy, ...]:
         return self._strategies
 
-    def execute(self, executor: ShardExecutor | None = None) -> tuple:
+    def execute(self, executor: ShardExecutor | None = None) -> tuple[UniquenessReport, ...]:
         probabilities = self.spec.probabilities or None
         return tuple(
             self._model.estimate(strategy, probabilities=probabilities, executor=executor)
             for strategy in self.plan()
         )
 
-    def merge(self, parts: Sequence) -> dict:
-        return {report.strategy_name: report for report in parts}
-
-    def summarize(self, merged: dict) -> ScenarioResult:
+    def summarize(self, reports: tuple[UniquenessReport, ...]) -> ScenarioResult:
         metrics = []
         table = []
         summary: list[str] = []
-        for name, report in merged.items():
+        for report in reports:
+            name = report.strategy_name
             for probability in report.probabilities:
                 metrics.append(
                     (f"{name}:n_p@{probability:g}", float(report.estimates[probability].n_p))
@@ -215,7 +181,7 @@ class UniquenessStudy:
             metrics=tuple(metrics),
             table=tuple(table),
             summary=tuple(summary),
-            raw=merged,
+            raw=reports,
         )
 
 
@@ -225,40 +191,28 @@ class NanotargetingStudy:
     def __init__(self, spec: ScenarioSpec, simulation: Simulation) -> None:
         self.spec = spec
         self.simulation = simulation
-        self._experiment = NanotargetingExperiment(
-            _resolve_api(spec, simulation, "modern_2020"),
-            simulation.delivery_engine,
-            simulation.config.experiment,
-            click_log=simulation.click_log,
-            seed=spec.seed,
-        )
+        self._experiment = simulation.nanotargeting_experiment(seed=spec.seed)
 
     def plan(self) -> tuple:
         """The targeted users, selected exactly like a direct run."""
         return tuple(self._experiment.select_targets(self.simulation.panel))
 
-    def execute(self, executor: ShardExecutor | None = None) -> tuple:
+    def execute(self, executor: ShardExecutor | None = None) -> ExperimentReport:
         # Campaign delivery is inherently sequential (shared account, clock
         # and click log), so the executor is not threaded further here; the
         # audience planning inside already rides the bulk prefix kernel.
         targets = self.plan()
-        if self.spec.countermeasures:
-            report = run_protected_experiment(
-                self._experiment.api,
-                self.simulation.delivery_engine,
-                targets,
-                list(parse_rules(self.spec.countermeasures)),
-                experiment=self._experiment,
-            )
-        else:
-            report = self._experiment.run(targets)
-        return (report,)
+        if not self.spec.countermeasures:
+            return self._experiment.run(targets)
+        return run_protected_experiment(
+            self._experiment.api,
+            self.simulation.delivery_engine,
+            targets,
+            list(parse_rules(self.spec.countermeasures)),
+            experiment=self._experiment,
+        )
 
-    def merge(self, parts: Sequence):
-        (report,) = parts
-        return report
-
-    def summarize(self, report) -> ScenarioResult:
+    def summarize(self, report: ExperimentReport) -> ScenarioResult:
         rejected = sum(1 for record in report.records if record.rejected)
         metrics = (
             ("success_count", float(report.success_count)),
@@ -291,7 +245,6 @@ class WorkloadImpactStudy:
     def __init__(self, spec: ScenarioSpec, simulation: Simulation) -> None:
         self.spec = spec
         self.simulation = simulation
-        self._api = _resolve_api(spec, simulation, "modern_2020")
         # The paper's advertiser-impact argument is about the interest cap;
         # it stays the default when the spec names no rules.
         self._rules = (
@@ -301,22 +254,19 @@ class WorkloadImpactStudy:
         )
 
     def plan(self) -> tuple:
-        """The benign campaign workload (seeded like the CLI's direct call)."""
+        """The benign campaign workload, drawn on the spec's seed (0 when unset)."""
         generator = AdvertiserWorkloadGenerator(self.simulation.catalog)
         return tuple(generator.generate(self.spec.workload_size, seed=self.spec.seed or 0))
 
-    def execute(self, executor: ShardExecutor | None = None) -> tuple:
-        return (
-            evaluate_workload_impact(
-                self._api, list(self.plan()), list(self._rules), executor=executor
-            ),
+    def execute(self, executor: ShardExecutor | None = None) -> WorkloadImpact:
+        return evaluate_workload_impact(
+            self.simulation.campaign_api,
+            list(self.plan()),
+            list(self._rules),
+            executor=executor,
         )
 
-    def merge(self, parts: Sequence):
-        (impact,) = parts
-        return impact
-
-    def summarize(self, impact) -> ScenarioResult:
+    def summarize(self, impact: WorkloadImpact) -> ScenarioResult:
         metrics = (
             ("total_campaigns", float(impact.total_campaigns)),
             ("rejected_campaigns", float(impact.rejected_campaigns)),
@@ -352,9 +302,7 @@ class FDVTRiskStudy:
     def __init__(self, spec: ScenarioSpec, simulation: Simulation) -> None:
         self.spec = spec
         self.simulation = simulation
-        self._extension = FDVTExtension(
-            _resolve_api(spec, simulation, "legacy_2017"), simulation.catalog
-        )
+        self._extension = simulation.fdvt_extension()
 
     def plan(self) -> tuple:
         """The first ``risk_users`` panel users (panel order), as in the bench.
@@ -367,13 +315,10 @@ class FDVTRiskStudy:
             columns.user_at(row) for row in range(min(self.spec.risk_users, len(columns)))
         )
 
-    def execute(self, executor: ShardExecutor | None = None) -> tuple:
+    def execute(self, executor: ShardExecutor | None = None) -> tuple[RiskReport, ...]:
         return self._extension.build_risk_reports(self.plan(), executor=executor)
 
-    def merge(self, parts: Sequence) -> tuple:
-        return tuple(parts)
-
-    def summarize(self, reports: tuple) -> ScenarioResult:
+    def summarize(self, reports: tuple[RiskReport, ...]) -> ScenarioResult:
         total_entries = 0
         level_totals: dict[str, int] = {}
         table = []

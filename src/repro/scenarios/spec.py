@@ -3,14 +3,13 @@
 A :class:`ScenarioSpec` is the ~20-line description of one paper-style
 experiment: which study to run (uniqueness, nanotargeting, the
 countermeasure workload impact or the FDVT risk reports), at what scale,
-with which seed, selection strategies, API tier, query locations,
-countermeasure rules and delivery knobs.  The spec is pure data — a frozen
-dataclass of primitives, picklable and round-trippable through
-:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict` — and
-compiles into a fully wired :class:`~repro.pipeline.Simulation` via
-:meth:`ScenarioSpec.compile` (which rides
-:func:`repro.pipeline.build_simulation`, so a scenario run is bit-identical
-to hand-wiring the same components).
+with which seed, selection strategies, countermeasure rules and delivery
+knobs.  The spec is pure data — a frozen dataclass of primitives,
+picklable and round-trippable through :meth:`ScenarioSpec.to_dict` /
+:meth:`ScenarioSpec.from_dict` — and compiles into a fully wired
+:class:`~repro.pipeline.Simulation` via :meth:`ScenarioSpec.compile`
+(which rides :func:`repro.pipeline.build_simulation`, so a scenario run is
+bit-identical to hand-wiring the same components).
 
 Seed discipline: a spec either pins ``seed`` explicitly or leaves it
 ``None`` (the library's config-default seeds, exactly like
@@ -26,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .._rng import derive_seed
 from ..cache import BuildCache, stable_fingerprint
-from ..config import ReproductionConfig, default_config, quick_config
+from ..config import ReproductionConfig, quick_config
 from ..errors import ConfigurationError
 from ..pipeline import (
     Simulation,
@@ -41,12 +40,6 @@ STUDIES = ("uniqueness", "nanotargeting", "workload_impact", "fdvt_risk")
 
 #: Interest-selection strategies a uniqueness scenario can request.
 STRATEGY_NAMES = ("least_popular", "random")
-
-#: Platform tiers a scenario can pin ("auto" keeps the study's default).
-API_TIERS = ("auto", "legacy_2017", "modern_2020")
-
-#: Query-location mixes ("auto" keeps the study's default).
-LOCATION_MIXES = ("auto", "countries", "worldwide")
 
 
 @dataclass(frozen=True)
@@ -67,10 +60,6 @@ class ScenarioSpec:
     seed: int | None = None
     #: Panel-size override (users); quotas rescale proportionally.
     panel_users: int | None = None
-    #: Query-location mix: study default, the 50-country base, or worldwide.
-    locations: str = "auto"
-    #: Platform tier: study default, January 2017 or late 2020 limits.
-    api_tier: str = "auto"
     #: Selection strategies evaluated by the uniqueness study.
     strategies: tuple[str, ...] = STRATEGY_NAMES
     #: Uniqueness probabilities (empty = the config default).
@@ -110,15 +99,6 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"unknown strategy: {strategy!r} (expected one of {STRATEGY_NAMES})"
                 )
-        if self.api_tier not in API_TIERS:
-            raise ConfigurationError(
-                f"unknown api_tier: {self.api_tier!r} (expected one of {API_TIERS})"
-            )
-        if self.locations not in LOCATION_MIXES:
-            raise ConfigurationError(
-                f"unknown locations mix: {self.locations!r} "
-                f"(expected one of {LOCATION_MIXES})"
-            )
         if self.panel_users is not None and self.panel_users < 1:
             raise ConfigurationError("panel_users must be >= 1")
         if self.n_bootstrap is not None and self.n_bootstrap < 1:
@@ -144,7 +124,7 @@ class ScenarioSpec:
 
     def config(self) -> ReproductionConfig:
         """The :class:`~repro.config.ReproductionConfig` this spec describes."""
-        config = default_config() if self.factor <= 1 else quick_config(self.factor)
+        config = quick_config(self.factor)
         if self.panel_users is not None:
             config = config.with_panel_users(self.panel_users)
         uniqueness = config.uniqueness

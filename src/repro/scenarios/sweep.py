@@ -15,13 +15,13 @@ state is shared across grid rows.
 Shared builds: with ``share_builds`` (the default) the runner groups grid
 rows by their (catalog, panel) stage fingerprints
 (:meth:`ScenarioSpec.stage_fingerprints`) so rows that only vary analysis
-knobs — strategies, probabilities, API tier, countermeasure rules — land
-in the same chunks, and every chunk compiles through the process-global
-:class:`~repro.cache.BuildCache`.  An analysis-knob-only sweep therefore
-builds its catalog and panel exactly once (per process) instead of once
-per row, while the results stay bit-identical to the uncached path:
-cached artifacts are immutable inputs and the per-run shell is always
-fresh (see :mod:`repro.pipeline`).
+knobs — strategies, probabilities, bootstrap and target counts,
+countermeasure rules — land in the same chunks, and every chunk compiles
+through the process-global :class:`~repro.cache.BuildCache`.  An
+analysis-knob-only sweep therefore builds its catalog and panel exactly
+once (per process) instead of once per row, while the results stay
+bit-identical to the uncached path: cached artifacts are immutable inputs
+and the per-run shell is always fresh (see :mod:`repro.pipeline`).
 
 Fault tolerance (see :mod:`repro.faults`): a sweep optionally carries a
 :class:`~repro.faults.RetryPolicy` and a seeded

@@ -6,8 +6,18 @@ import json
 
 import pytest
 
+from repro import build_simulation, quick_config
+from repro.analysis import format_records
+from repro.campaigns import AdvertiserWorkloadGenerator
 from repro.cli import build_parser, main
+from repro.countermeasures import (
+    evaluate_attack_protection,
+    evaluate_workload_impact,
+    recommended_rules,
+    run_protected_experiment,
+)
 from repro.exec import ShardExecutor
+from repro.io import experiment_report_to_dict, uniqueness_report_to_dict
 from repro.scenarios import ScenarioSpec, SweepRunner, expand_grid
 
 #: A very small scale keeps every CLI invocation fast.
@@ -96,6 +106,93 @@ class TestCountermeasuresCommand:
         captured = capsys.readouterr().out
         assert "protected successes: 0/21" in captured
         assert "attack reduction" in captured
+
+
+class TestStudyCommandParity:
+    """The study commands print and write exactly what direct study calls give.
+
+    The references wire each study by hand on fresh simulations, apart from
+    the scenario layer the commands run through.
+    """
+
+    SCALE = ["--factor", "80", "--seed", "3"]
+
+    @staticmethod
+    def simulation():
+        return build_simulation(quick_config(80), seed=3)
+
+    def test_uniqueness(self, tmp_path, capsys):
+        output = tmp_path / "table1.json"
+        exit_code = main(
+            [
+                "uniqueness", *self.SCALE,
+                "--probabilities", "0.5", "0.9", "--output", str(output),
+            ]
+        )
+        assert exit_code == 0
+        simulation = self.simulation()
+        model = simulation.uniqueness_model()
+        reports = [
+            model.estimate(strategy, probabilities=(0.5, 0.9))
+            for strategy in simulation.strategies()
+        ]
+        table = format_records([report.table_row() for report in reports])
+        assert capsys.readouterr().out == f"{table}\nwrote {output}\n"
+        payload = {
+            report.strategy_name: uniqueness_report_to_dict(report) for report in reports
+        }
+        assert output.read_text() == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_nanotargeting(self, tmp_path, capsys):
+        output = tmp_path / "table2.json"
+        assert main(["nanotargeting", *self.SCALE, "--output", str(output)]) == 0
+        simulation = self.simulation()
+        report = simulation.nanotargeting_experiment(seed=3).run(
+            candidates=simulation.panel
+        )
+        expected = (
+            f"{format_records(report.table_rows())}\n"
+            f"successful campaigns: {report.success_count}/{report.n_campaigns}  "
+            f"total cost: €{report.total_cost_eur():.2f}  "
+            f"successful cost: €{report.successful_cost_eur():.2f}\n"
+            f"wrote {output}\n"
+        )
+        assert capsys.readouterr().out == expected
+        assert output.read_text() == json.dumps(
+            experiment_report_to_dict(report), indent=2, sort_keys=True
+        )
+
+    def test_countermeasures(self, capsys):
+        # 300 benign campaigns: enough that the rejected count moves with
+        # the workload's seed (at 50, none is rejected on any seed).
+        exit_code = main(["countermeasures", *self.SCALE, "--workload-size", "300"])
+        assert exit_code == 0
+        simulation = self.simulation()
+        experiment = simulation.nanotargeting_experiment(seed=3)
+        targets = experiment.select_targets(simulation.panel)
+        baseline = experiment.run(targets)
+        protected_simulation = self.simulation()
+        protected = run_protected_experiment(
+            protected_simulation.campaign_api,
+            protected_simulation.delivery_engine,
+            [protected_simulation.panel.get(target.user_id) for target in targets],
+            list(recommended_rules()),
+            experiment=protected_simulation.nanotargeting_experiment(seed=3),
+        )
+        workload = AdvertiserWorkloadGenerator(simulation.catalog).generate(300, seed=3)
+        # On the baseline's API, after the baseline ran.
+        impact = evaluate_workload_impact(
+            simulation.campaign_api, workload, [recommended_rules()[0]]
+        )
+        reduction = evaluate_attack_protection(baseline, protected).attack_reduction
+        expected = (
+            f"baseline successes : {baseline.success_count}/{baseline.n_campaigns}\n"
+            f"protected successes: {protected.success_count}/{protected.n_campaigns}\n"
+            f"attack reduction   : {reduction:.0%}\n"
+            f"benign impact      : {impact.rejected_campaigns}/{impact.total_campaigns} "
+            f"campaigns rejected ({impact.rejection_rate:.2%})\n"
+        )
+        assert capsys.readouterr().out == expected
 
 
 def _spec_payload(**overrides) -> dict:
@@ -245,6 +342,23 @@ class TestErrorHygiene:
         assert err.count("\n") == 1
         assert err.startswith("repro-facebook: configuration error:")
         assert "no-such-scenario" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["dataset", "--factor", "0"],
+            ["fdvt-report", "--factor", "0"],
+            ["uniqueness", "--factor", "0"],
+            ["cache", "warm", "--factor", "0"],
+        ],
+        ids=["dataset", "fdvt-report", "uniqueness", "cache-warm"],
+    )
+    def test_factor_below_one_exits_2(self, command, tmp_path, capsys):
+        if command[0] == "cache":
+            command = [*command, "--root", str(tmp_path / "cache")]
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err == "repro-facebook: configuration error: factor must be >= 1\n"
 
     def test_execution_errors_exit_3(self, capsys):
         exit_code = main(["fdvt-report", *FACTOR, "--user-id", "999999"])

@@ -107,7 +107,9 @@ class TestUniquenessModel:
 
     def test_confidence_interval_brackets_estimate(self, uniqueness_setup):
         _, model = uniqueness_setup
-        estimate = model.estimate_single(RandomSelection(seed=1), 0.5)
+        estimate = model.estimate(
+            RandomSelection(seed=1), probabilities=[0.5]
+        ).estimate_for(0.5)
         ci = estimate.confidence_interval
         assert ci.low <= estimate.n_p * 1.15
         assert ci.high >= estimate.n_p * 0.85

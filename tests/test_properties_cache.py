@@ -134,9 +134,9 @@ class TestScenarioStageFingerprints:
             {"probabilities": (0.8,)},
             {"n_bootstrap": 9},
             {"countermeasures": ("interest_cap:9",)},
-            {"api_tier": "modern_2020"},
+            {"n_targets": 2},
         ],
-        ids=["strategies", "probabilities", "n_bootstrap", "countermeasures", "api_tier"],
+        ids=["strategies", "probabilities", "n_bootstrap", "countermeasures", "n_targets"],
     )
     def test_analysis_knobs_share_catalog_and_panel(self, overrides):
         base = self.spec().stage_fingerprints()

@@ -9,7 +9,6 @@ from repro._rng import (
     as_generator,
     derive_generator,
     derive_seed,
-    spawn_generators,
     stable_hash,
 )
 from repro.errors import ConfigurationError
@@ -62,10 +61,6 @@ class TestDerivedGenerators:
         a = derive_generator(5, "a").integers(0, 2**32, size=4)
         b = derive_generator(5, "b").integers(0, 2**32, size=4)
         assert not np.array_equal(a, b)
-
-    def test_spawn_generators_covers_all_names(self):
-        streams = spawn_generators(3, ["x", "y", "z"])
-        assert set(streams) == {"x", "y", "z"}
 
 
 class TestSimClock:
