@@ -58,7 +58,7 @@ from .errors import (
     ShardFailedError,
     TransientApiError,
 )
-from .faults import FaultPlan, RetryPolicy, WallClockRetryPolicy
+from .faults import FaultPlan, RetryPolicy
 from .pipeline import (
     Simulation,
     assemble_simulation,
@@ -130,7 +130,6 @@ __all__ = [
     "SweepRunner",
     "TransientApiError",
     "UniquenessConfig",
-    "WallClockRetryPolicy",
     "__version__",
     "assemble_simulation",
     "build_cache",

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from ..config import PlatformConfig
 from .account import AdAccount
 from .targeting import TargetingSpec
@@ -52,11 +54,11 @@ class CampaignDecision:
 class CampaignRule(Protocol):
     """A proactive countermeasure evaluated before a campaign launches.
 
-    Implementations may additionally provide a vectorised
-    ``evaluate_matrix(interest_counts, raw_audiences, active_audiences)``
-    returning a boolean rejection mask over a whole campaign workload;
-    bulk evaluators (``repro.countermeasures.evaluate_workload_impact``)
-    use it when present and fall back to looping :meth:`evaluate`.
+    :class:`PlatformPolicy` calls :meth:`evaluate` when it authorises one
+    campaign; bulk evaluators
+    (``repro.countermeasures.evaluate_workload_impact``) call
+    :meth:`evaluate_matrix` over a whole campaign workload.  The two must
+    agree campaign by campaign.
     """
 
     #: Short identifier used in rejection reasons.
@@ -66,6 +68,15 @@ class CampaignRule(Protocol):
         self, spec: TargetingSpec, raw_audience: float, active_audience: float
     ) -> str | None:
         """Return a rejection reason, or ``None`` if the campaign may run."""
+        ...  # pragma: no cover - protocol definition
+
+    def evaluate_matrix(
+        self,
+        interest_counts: np.ndarray,
+        raw_audiences: np.ndarray,
+        active_audiences: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorised :meth:`evaluate`: True where a campaign is rejected."""
         ...  # pragma: no cover - protocol definition
 
 

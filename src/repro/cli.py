@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -74,7 +75,7 @@ from ._rng import derive_seed
 from .adsapi import AdsManagerAPI
 from .config import PlatformConfig
 from .errors import ConfigurationError, PanelError, ReproError, ServiceError
-from .faults import FaultPlan, RetryPolicy, WallClockRetryPolicy
+from .faults import FaultPlan, RetryPolicy
 from .pipeline import (
     Simulation,
     build_catalog,
@@ -95,7 +96,8 @@ from .scenarios import (
 from .scenarios.sweep import ON_ERROR_MODES, coerce_axis_value, manifest_path_for
 
 #: Exit codes of the console script: 0 success, 1 domain-level failure
-#: (e.g. dead-lettered scenarios, --fail-on-success), 2 configuration
+#: (e.g. dead-lettered scenarios, --fail-on-success) or a stdout closed
+#: before the output was written, 2 configuration
 #: errors, 3 execution failures, 4 service-layer failures (the reach
 #: service's typed rejections surfacing as errors).  Argparse usage
 #: errors also exit 2.
@@ -380,21 +382,8 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
 def _sweep_fault_layer(
     args: argparse.Namespace,
 ) -> tuple[RetryPolicy | None, FaultPlan | None]:
-    """The (retry, faults) pair requested by --retries/--fault-rate.
-
-    ``--wall-clock-retries`` swaps the simulated-time policy for
-    :class:`WallClockRetryPolicy` (seeded full jitter, real sleeps
-    between attempts) — the run manifest notes which clock a sweep used.
-    """
-    if getattr(args, "wall_clock_retries", False):
-        def policy(max_attempts: int) -> RetryPolicy:
-            return WallClockRetryPolicy(
-                max_attempts=max_attempts,
-                jitter_seed=derive_seed(args.fault_seed or 0, "cli-wall-jitter"),
-            )
-    else:
-        policy = RetryPolicy
-    retry = policy(max_attempts=args.retries + 1) if args.retries else None
+    """The (retry, faults) pair requested by --retries/--fault-rate."""
+    retry = RetryPolicy(max_attempts=args.retries + 1) if args.retries else None
     faults = None
     if args.fault_rate:
         faults = FaultPlan(
@@ -406,7 +395,7 @@ def _sweep_fault_layer(
         if retry is None:
             # Injection without retries would just kill the sweep; pair it
             # with the plan's convergence bound by default.
-            retry = policy(max_attempts=faults.max_faults_per_task + 1)
+            retry = RetryPolicy(max_attempts=faults.max_faults_per_task + 1)
     return retry, faults
 
 
@@ -584,15 +573,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
     for key, value in plan.describe().items():
         print(f"  {key}: {value}")
     retry = RetryPolicy(max_attempts=args.retries + 1)
-    print("retry policy (sim clock — offline sweeps):")
+    print("retry policy:")
     for key, value in retry.describe().items():
-        print(f"  {key}: {value}")
-    wall = WallClockRetryPolicy(
-        max_attempts=args.retries + 1,
-        jitter_seed=derive_seed(args.seed or 0, "cli-wall-jitter"),
-    )
-    print("retry policy (wall clock — always-on service, full jitter):")
-    for key, value in wall.describe().items():
         print(f"  {key}: {value}")
     decisions = plan.preview(args.tasks, args.attempts)
     print(
@@ -907,12 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seed of the injected fault plan (chaos replays bit-identically)",
     )
-    scenario_sweep.add_argument(
-        "--wall-clock-retries",
-        action="store_true",
-        help="back off on real time with seeded full jitter instead of the "
-        "simulated clock (the manifest notes which clock a run used)",
-    )
     scenario_sweep.set_defaults(handler=cmd_scenario_sweep)
 
     serve = subparsers.add_parser(
@@ -982,12 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fault-seed", type=int, default=None, help="seed of the injected fault plan"
-    )
-    serve.add_argument(
-        "--wall-clock-retries",
-        action="store_true",
-        help="compute retry backoff with the wall-clock policy's full jitter "
-        "(delays still elapse in service virtual time)",
     )
     serve.add_argument(
         "--verify-parity",
@@ -1116,12 +1086,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     distinct exit code — :data:`EXIT_CONFIG_ERROR` (2) for configuration
     errors, :data:`EXIT_SERVICE_ERROR` (4) for reach-service failures,
     :data:`EXIT_EXEC_ERROR` (3) for everything else the library raises —
-    never a traceback.
+    never a traceback.  A stdout closed before the output is written
+    (``| head``) ends the command quietly with exit code 1.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's final flush of what
+        # is still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 1
     except ConfigurationError as error:
         print(f"repro-facebook: configuration error: {error}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -150,36 +150,6 @@ class AudienceSizeCollector:
                 matrix=block, floor=floor, user_ids=user_ids[job.shard.rows]
             )
 
-    def collect_for_users(
-        self, strategy: SelectionStrategy, user_ids: Sequence[int]
-    ) -> AudienceSamples:
-        """Collect the matrix for a subset of panel users (demographic groups).
-
-        Rows follow the caller's requested order, with duplicate ids
-        collapsed to their first occurrence and unknown ids ignored.  The
-        sub-panel is a row gather on the CSR store — no user objects are
-        materialised.
-        """
-        columns = self._panel.columns
-        row_of = {uid: row for row, uid in enumerate(columns.user_ids.tolist())}
-        rows = list(
-            dict.fromkeys(
-                row_of[uid] for uid in map(int, user_ids) if uid in row_of
-            )
-        )
-        if not rows:
-            raise ModelError("no panel users match the requested ids")
-        sub_panel = FDVTPanel.from_columns(
-            columns.take(np.array(rows, dtype=np.int64)), self._panel.catalog
-        )
-        collector = AudienceSizeCollector(
-            self._api,
-            sub_panel,
-            max_interests=self._max_interests,
-            locations=self._locations,
-        )
-        return collector.collect(strategy)
-
     # -- the engine ------------------------------------------------------------------
 
     def _shard_blocks(

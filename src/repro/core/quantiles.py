@@ -73,15 +73,6 @@ class AudienceSamples:
 
     # -- quantiles --------------------------------------------------------------------
 
-    def audience_quantile(self, q_percent: float, n_interests: int) -> float:
-        """``AS(Q, N)``: the Q-th percentile of the audience size for N interests."""
-        samples = self.samples_for(n_interests)
-        if samples.size == 0:
-            raise InsufficientDataError(
-                f"no samples available for N={n_interests}"
-            )
-        return float(np.percentile(samples, self._validate_q(q_percent)))
-
     def vas(self, q_percent: float) -> np.ndarray:
         """``VAS(Q)``: the quantile vector across N = 1..max_interests."""
         return self.vas_many([q_percent])[0]

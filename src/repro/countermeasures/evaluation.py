@@ -132,8 +132,7 @@ def evaluate_workload_impact(
     ``estimate_reach_matrix`` — campaigns grouped by location filter, one
     row-parallel sweep per group, optionally sharded across ``executor``'s
     workers — and the rules evaluate the whole workload at once via their
-    vectorised ``evaluate_matrix`` kernels (falling back to per-campaign
-    ``evaluate`` for rules without one).  Rules see the same *raw*
+    vectorised ``evaluate_matrix`` kernels.  Rules see the same *raw*
     audiences the policy hands them at authorisation time, so rejection
     counts are bit-identical to the scalar per-campaign loop.
     """
@@ -144,17 +143,8 @@ def evaluate_workload_impact(
     interest_counts = np.array([spec.interest_count for spec in specs], dtype=np.int64)
     rejected = np.zeros(len(specs), dtype=bool)
     for rule in rules:
-        evaluate_matrix = getattr(rule, "evaluate_matrix", None)
-        if evaluate_matrix is not None:
-            rejected |= np.asarray(
-                evaluate_matrix(interest_counts, raw, raw), dtype=bool
-            )
-        else:
-            for index, spec in enumerate(specs):
-                if not rejected[index] and rule.evaluate(
-                    spec, raw[index], raw[index]
-                ) is not None:
-                    rejected[index] = True
+        mask = rule.evaluate_matrix(interest_counts, raw, raw)
+        rejected |= np.asarray(mask, dtype=bool)
     return WorkloadImpact(
         total_campaigns=len(specs), rejected_campaigns=int(rejected.sum())
     )

@@ -12,10 +12,10 @@ The paper proposes two easily implementable platform-side rules:
   which also closes the PII-based Custom Audience loopholes.
 
 Both implement the :class:`repro.adsapi.CampaignRule` protocol and can be
-attached to a platform policy.  Each additionally provides an
-``evaluate_matrix`` kernel — the vectorised counterpart of ``evaluate``
-over a whole campaign workload at once (one boolean rejection mask from
-per-campaign interest counts and audiences), which is what lets
+attached to a platform policy: ``evaluate`` judges one campaign, and
+``evaluate_matrix`` — its vectorised counterpart over a whole campaign
+workload at once (one boolean rejection mask from per-campaign interest
+counts and audiences) — is what lets
 :func:`repro.countermeasures.evaluate_workload_impact` ride the bulk reach
 kernels instead of looping rules per campaign.
 """

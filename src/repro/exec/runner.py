@@ -20,7 +20,8 @@ Fault tolerance
 Every runner optionally carries a :class:`~repro.faults.RetryPolicy` and a
 :class:`~repro.faults.FaultPlan` (see :mod:`repro.faults`).  With either
 configured, each shard executes through :func:`~repro.faults.guarded_call`
-— deterministic fault injection plus bounded, simulated-time backoff — and
+— deterministic fault injection plus a bounded number of immediate
+re-runs (shards are pure and keep no clock, so there is no backoff) — and
 any failure that survives its retries surfaces as
 :class:`~repro.errors.ShardFailedError` carrying the shard index and the
 backend name.  The pooled backends always wrap failures that way (shard

@@ -1,4 +1,4 @@
-"""Deterministic fault injection and retry policies for the exec layer.
+"""Deterministic fault injection and bounded retries for the exec layer.
 
 The paper's attacker runs multi-week campaigns against a flaky,
 rate-limited Ads Manager API: requests time out, workers die, rate limits
@@ -11,27 +11,20 @@ demand and bit-reproducibly**:
   so a chaos run replays identically across processes, backends and
   worker counts.  Rates select between four fault kinds: transient API
   errors (:class:`~repro.errors.TransientApiError`), injected shard-task
-  exceptions (:class:`~repro.errors.InjectedFaultError`), slow shards
-  (simulated latency on a private clock) and worker crashes
-  (:class:`~repro.errors.WorkerCrashError` in-process, a genuine
-  ``os._exit`` inside process-pool workers).
+  exceptions (:class:`~repro.errors.InjectedFaultError`), slow attempts
+  (latency the reach service adds to a request's virtual completion
+  time) and worker crashes (:class:`~repro.errors.WorkerCrashError`
+  in-process, a genuine ``os._exit`` inside process-pool workers).
 
-* :class:`RetryPolicy` — bounded attempts with exponential backoff
-  measured on **simulated** time (a private :class:`~repro.simclock.SimClock`
-  per task, never the API's billing clock, which token buckets refill
-  from), honouring ``retry_after_seconds`` hints from rate-limit style
-  errors, with an optional per-task deadline.
-
-* :class:`WallClockRetryPolicy` — the same backoff contract driven by
-  *real* time with seeded full jitter: backoff sleeps on the wall clock
-  (injectable ``timer``/``sleeper`` keep tests virtual and reproducible)
-  and each delay is drawn uniformly from ``[0, exponential cap]`` so a
-  fleet of retrying callers decorrelates instead of stampeding.  This is
-  the policy an always-on service runs; offline sweeps keep the
-  simulated-time default.
+* :class:`RetryPolicy` — the attempt budget, plus the exponential
+  backoff (floored by ``retry_after_seconds`` hints from rate-limit style
+  errors) that the reach service waits on its virtual clock before
+  requeueing a failed request.
 
 * :func:`guarded_call` — the retry loop itself: injects faults from a
-  plan, retries per policy, and returns ``(value, attempts)``.
+  plan, re-runs a task that failed with one of :data:`RETRYABLE_ERRORS`
+  at once, up to the policy's attempt budget, and returns
+  ``(value, attempts)``.
 
 * Injection depth — a plan fires either at the **guard** boundary (the
   default: before the task body, where PR 6 injected) or, with
@@ -58,7 +51,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, TypeVar
 
@@ -70,7 +62,6 @@ from .errors import (
     TransientApiError,
     WorkerCrashError,
 )
-from .simclock import SimClock
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -126,7 +117,7 @@ class FaultPlan:
     slow_rate: float = 0.0
     #: Probability an attempt crashes its worker.
     crash_rate: float = 0.0
-    #: Simulated latency of a slow attempt (private-clock seconds).
+    #: Latency of a slow attempt, in the reach service's virtual seconds.
     slow_seconds: float = 5.0
     #: ``retry_after_seconds`` hint carried by injected transient errors.
     retry_after_seconds: float = 2.0
@@ -166,18 +157,6 @@ class FaultPlan:
                 f"{self.depth}-depth plans inject error kinds only — "
                 "slow_rate and crash_rate must be 0"
             )
-
-    # -- construction --------------------------------------------------------------
-
-    @classmethod
-    def derive(cls, base_seed: int, *keys: object, **rates: float) -> "FaultPlan":
-        """A plan whose seed is derived from ``base_seed`` and ``keys``.
-
-        Mirrors the library-wide seed discipline: independent sub-streams
-        keyed by strings, so e.g. a sweep-level plan and a shard-level
-        plan built from the same base seed never correlate.
-        """
-        return cls(seed=derive_seed(base_seed, "faults", *keys), **rates)
 
     @property
     def total_rate(self) -> float:
@@ -329,35 +308,33 @@ def fire_inner(site: str) -> None:
         plan.fire(task_index, attempt)
 
 
+#: Errors a retry may recover from; everything else fails fast.
+RETRYABLE_ERRORS: tuple[type[Exception], ...] = (
+    TransientApiError,
+    RateLimitExceededError,
+    WorkerCrashError,
+    InjectedFaultError,
+)
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retries with exponential backoff on simulated time.
+    """Bounded attempts, and the backoff the reach service waits between them.
 
-    Backoff is *simulated*: :func:`guarded_call` advances a private
-    per-task :class:`~repro.simclock.SimClock`, so retries cost zero wall
-    clock and — crucially — never advance the Ads API's billing clock
-    (token buckets refill from that clock; touching it would break the
-    bit-parity of rate-limiter state with the fault-free run).
+    :func:`guarded_call` re-runs a failed task at once: shard and sweep
+    tasks are pure and keep no clock, so waiting would change nothing.
+    :class:`~repro.service.ReachService` requeues a failed request on its
+    virtual clock, :meth:`backoff_delay` seconds later.
     """
 
     #: Total attempts allowed (first try included); must be >= 1.
     max_attempts: int = 3
-    #: Backoff before the first retry, in simulated seconds.
+    #: Backoff before the first retry, in seconds.
     base_delay_seconds: float = 0.5
     #: Exponential growth factor between consecutive backoffs.
     multiplier: float = 2.0
     #: Ceiling on a single backoff delay.
     max_delay_seconds: float = 60.0
-    #: Optional budget of simulated seconds per task (backoff + slow time);
-    #: exceeding it stops retrying even with attempts left.
-    deadline_seconds: float | None = None
-    #: Exception types considered transient.  Everything else fails fast.
-    retryable: tuple[type[BaseException], ...] = (
-        TransientApiError,
-        RateLimitExceededError,
-        WorkerCrashError,
-        InjectedFaultError,
-    )
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -366,29 +343,13 @@ class RetryPolicy:
             raise ConfigurationError("backoff delays must be >= 0")
         if self.multiplier < 1.0:
             raise ConfigurationError("multiplier must be >= 1")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ConfigurationError("deadline_seconds must be > 0")
-        object.__setattr__(self, "retryable", tuple(self.retryable))
 
-    def is_retryable(self, error: BaseException) -> bool:
-        """True when ``error`` is transient under this policy."""
-        return isinstance(error, self.retryable)
-
-    def backoff_delay(
-        self,
-        attempt: int,
-        error: BaseException | None = None,
-        *,
-        salt: object = None,
-    ) -> float:
-        """Simulated seconds to back off after failed attempt ``attempt``.
+    def backoff_delay(self, attempt: int, error: BaseException | None = None) -> float:
+        """Seconds to back off after failed attempt ``attempt``.
 
         Exponential in the attempt index, capped by ``max_delay_seconds``;
         a ``retry_after_seconds`` hint on the error (rate-limit style)
         raises the floor — the caller must wait at least that long.
-        ``salt`` is accepted for interface parity with the jittered
-        wall-clock policy (which decorrelates per-caller delays with it)
-        and ignored here — simulated backoff is deterministic by design.
         """
         delay = min(
             self.base_delay_seconds * self.multiplier ** max(attempt, 0),
@@ -399,130 +360,11 @@ class RetryPolicy:
             delay = max(delay, float(hint))
         return delay
 
-    def waiter(self) -> "BackoffWaiter":
-        """A fresh per-task waiter measuring backoff on a private sim clock."""
-        return _SimWaiter()
-
     def describe(self) -> dict:
-        """A JSON-friendly view of the policy's knobs."""
-        return {
-            "clock": "sim",
-            "max_attempts": self.max_attempts,
-            "base_delay_seconds": self.base_delay_seconds,
-            "multiplier": self.multiplier,
-            "max_delay_seconds": self.max_delay_seconds,
-            "deadline_seconds": self.deadline_seconds,
-            "retryable": tuple(cls.__name__ for cls in self.retryable),
-        }
-
-
-@dataclass(frozen=True)
-class WallClockRetryPolicy(RetryPolicy):
-    """Bounded retries with full-jitter exponential backoff on real time.
-
-    The backoff *contract* is :class:`RetryPolicy`'s — bounded attempts,
-    exponential cap, ``retry_after_seconds`` floors, optional deadline —
-    but the clock is the wall clock: :func:`guarded_call` genuinely sleeps
-    between attempts and measures the deadline against elapsed real time.
-    This is the policy a long-lived service runs (offline sweeps keep the
-    simulated default so chaos drills cost zero wall clock).
-
-    Each delay uses *full jitter*: drawn uniformly from ``[0, cap]`` where
-    ``cap`` is the deterministic exponential delay, so many callers
-    retrying the same outage decorrelate instead of stampeding.  The draw
-    is seeded — a pure hash of ``(jitter_seed, attempt, salt)`` — so every
-    schedule is reproducible; pass a distinct ``salt`` per caller (the
-    reach service salts with the request id) to decorrelate them.
-
-    ``timer`` / ``sleeper`` default to :func:`time.monotonic` /
-    :func:`time.sleep`; tests inject a virtual pair to drive the policy
-    without sleeping (the policy stays picklable because the defaults are
-    resolved lazily, not stored).
-    """
-
-    #: Seed of the full-jitter draws (reproducible backoff schedules).
-    jitter_seed: int = 0
-    #: Monotonic-seconds source (``None`` → :func:`time.monotonic`).
-    timer: Callable[[], float] | None = None
-    #: Blocking sleep (``None`` → :func:`time.sleep`).
-    sleeper: Callable[[float], None] | None = None
-
-    def backoff_delay(
-        self,
-        attempt: int,
-        error: BaseException | None = None,
-        *,
-        salt: object = None,
-    ) -> float:
-        """Wall-clock seconds to back off: full jitter under the exponential cap."""
-        cap = min(
-            self.base_delay_seconds * self.multiplier ** max(attempt, 0),
-            self.max_delay_seconds,
-        )
-        fraction = stable_hash(self.jitter_seed, "wall-jitter", attempt, salt) / 2.0**64
-        delay = cap * fraction
-        hint = getattr(error, "retry_after_seconds", None)
-        if hint is not None:
-            delay = max(delay, float(hint))
-        return delay
-
-    def waiter(self) -> "BackoffWaiter":
-        """A waiter that sleeps for real (or on the injected timer pair)."""
-        return _WallWaiter(
-            self.timer if self.timer is not None else time.monotonic,
-            self.sleeper if self.sleeper is not None else time.sleep,
-        )
-
-    def describe(self) -> dict:
-        """A JSON-friendly view of the policy's knobs."""
-        payload = super().describe()
-        payload["clock"] = "wall"
-        payload["jitter"] = "full"
-        payload["jitter_seed"] = self.jitter_seed
+        """A JSON-friendly view of the policy's knobs and what it retries."""
+        payload: dict = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["retryable"] = tuple(cls.__name__ for cls in RETRYABLE_ERRORS)
         return payload
-
-
-class BackoffWaiter:
-    """How :func:`guarded_call` spends backoff time (sim or wall clock)."""
-
-    def elapsed(self) -> float:
-        """Seconds this task has spent backing off (plus slow faults)."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def wait(self, seconds: float) -> None:
-        """Spend ``seconds`` of backoff time."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-
-class _SimWaiter(BackoffWaiter):
-    """Backoff on a private simulated clock (free, never the billing clock)."""
-
-    def __init__(self) -> None:
-        self._clock = SimClock()
-
-    def elapsed(self) -> float:
-        return self._clock.now()
-
-    def wait(self, seconds: float) -> None:
-        self._clock.advance(seconds)
-
-
-class _WallWaiter(BackoffWaiter):
-    """Backoff that really sleeps, measured against a monotonic timer."""
-
-    def __init__(
-        self, timer: Callable[[], float], sleeper: Callable[[float], None]
-    ) -> None:
-        self._timer = timer
-        self._sleeper = sleeper
-        self._start = timer()
-
-    def elapsed(self) -> float:
-        return self._timer() - self._start
-
-    def wait(self, seconds: float) -> None:
-        if seconds > 0:
-            self._sleeper(seconds)
 
 
 def guarded_call(
@@ -535,38 +377,33 @@ def guarded_call(
     base_attempt: int = 0,
     hard_crash: bool = False,
 ) -> tuple[_R, int]:
-    """Run ``fn(task)`` under fault injection and retries.
+    """Run ``fn(task)`` under fault injection and bounded retries.
 
     Returns ``(result, attempts)`` where ``attempts`` counts every try
     made here (earlier tries folded in via ``base_attempt`` are not
     re-counted).  Guard-depth faults fire *before* the task body — shard
     tasks are pure, so a failed attempt leaves no partial state and the
-    winning attempt's result is bit-identical to a fault-free call.
-    Kernel-depth plans are instead published for the duration of the
-    task body so :func:`fire_inner` sites deep inside it (the bulk API
-    kernel, mid-stream collection blocks) raise mid-work.  Retryable
-    errors (per ``retry``) back off through the policy's waiter — a
-    private :class:`~repro.simclock.SimClock` for the default policy, a
-    real sleep for :class:`WallClockRetryPolicy`; non-retryable errors,
-    an exhausted attempt budget or a blown deadline re-raise the last
-    error.
+    winning attempt's result is bit-identical to a fault-free call; a
+    "slow" decision costs nothing here, because the task has no clock to
+    delay.  Kernel-depth plans are instead published for the duration of
+    the task body so :func:`fire_inner` sites deep inside it (the bulk
+    API kernel, mid-stream collection blocks) raise mid-work.  A
+    :data:`RETRYABLE_ERRORS` failure re-runs the task at once while
+    ``retry`` allows more attempts; any other error, or the failure of
+    the last allowed attempt, re-raises.
 
     ``base_attempt`` offsets the fault-decision stream: a coordinator
     resubmitting work after a pool crash passes the attempts already
     burned so the plan does not replay the same fault forever.
     """
     max_attempts = retry.max_attempts if retry is not None else 1
-    deadline = retry.deadline_seconds if retry is not None else None
-    waiter = retry.waiter() if retry is not None else _SimWaiter()
     tries = 0
     while True:
         attempt = base_attempt + tries
         tries += 1
         try:
             if faults is not None and faults.depth == "guard":
-                decision = faults.fire(index, attempt, hard_crash=hard_crash)
-                if decision is not None and decision.kind == "slow":
-                    waiter.wait(decision.seconds)
+                faults.fire(index, attempt, hard_crash=hard_crash)
             if faults is not None and faults.depth != "guard":
                 token = _INNER_FAULTS.set((faults, index, attempt))
                 try:
@@ -575,14 +412,9 @@ def guarded_call(
                     _INNER_FAULTS.reset(token)
             return fn(task), tries
         except Exception as error:
-            if retry is None or not retry.is_retryable(error) or tries >= max_attempts:
+            if not isinstance(error, RETRYABLE_ERRORS) or tries >= max_attempts:
                 _attach_attempts(error, tries)
                 raise
-            delay = retry.backoff_delay(attempt, error, salt=index)
-            if deadline is not None and waiter.elapsed() + delay > deadline:
-                _attach_attempts(error, tries)
-                raise
-            waiter.wait(delay)
 
 
 def _attach_attempts(error: BaseException, tries: int) -> None:
@@ -595,29 +427,6 @@ def _attach_attempts(error: BaseException, tries: int) -> None:
         error.attempts = tries  # type: ignore[attr-defined]
     except (AttributeError, TypeError):  # pragma: no cover - slotted exceptions
         pass
-
-
-def run_guarded(
-    fn: Callable[[_T], _R],
-    task: _T,
-    *,
-    index: int,
-    retry: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    base_attempt: int = 0,
-    hard_crash: bool = False,
-) -> _R:
-    """:func:`guarded_call` returning only the result (attempt count dropped)."""
-    value, _ = guarded_call(
-        fn,
-        task,
-        index=index,
-        retry=retry,
-        faults=faults,
-        base_attempt=base_attempt,
-        hard_crash=hard_crash,
-    )
-    return value
 
 
 def ambient_chaos() -> tuple[RetryPolicy | None, FaultPlan | None]:

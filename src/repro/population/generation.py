@@ -101,7 +101,6 @@ class AssignerSpec:
     catalog_config: Any
     catalog_seed: int | None
     topic_affinity_boost: float = 4.0
-    world_population: float | None = None
 
     def fingerprint(self) -> str:
         """Content fingerprint (collides exactly for bit-identical rebuilds)."""
@@ -116,12 +115,9 @@ class AssignerSpec:
     def _catalog_key(self) -> str:
         from ..catalog import DEFAULT_WORLD_POPULATION
 
-        world = (
-            DEFAULT_WORLD_POPULATION
-            if self.world_population is None
-            else self.world_population
+        return catalog_stage_key(
+            self.catalog_config, self.catalog_seed, DEFAULT_WORLD_POPULATION
         )
-        return catalog_stage_key(self.catalog_config, self.catalog_seed, world)
 
     def build(self, cache: BuildCache | None = None) -> Any:
         """Rebuild the assigner, sharing the catalog via ``cache``.
@@ -130,20 +126,12 @@ class AssignerSpec:
         (same key and codec as :func:`repro.pipeline.build_catalog`), so
         cold process-pool generation workers load instead of regenerate.
         """
-        from ..catalog import DEFAULT_WORLD_POPULATION, InterestCatalog
+        from ..catalog import InterestCatalog
         from ..io.artifacts import CATALOG_CODEC
         from .assignment import InterestAssigner
 
-        world = (
-            DEFAULT_WORLD_POPULATION
-            if self.world_population is None
-            else self.world_population
-        )
-
         def generate() -> InterestCatalog:
-            return InterestCatalog.generate(
-                self.catalog_config, world_population=world, seed=self.catalog_seed
-            )
+            return InterestCatalog.generate(self.catalog_config, seed=self.catalog_seed)
 
         catalog = (
             generate()

@@ -103,8 +103,6 @@ class ReachModelSpec:
     catalog_config: CatalogConfig
     reach_config: ReachModelConfig
     catalog_seed: int | None = None
-    catalog_world_population: float = DEFAULT_WORLD_POPULATION
-    world_population: float | None = None
 
     def fingerprint(self) -> str:
         """Stable content fingerprint of the model this spec rebuilds.
@@ -120,8 +118,6 @@ class ReachModelSpec:
                 "catalog_config": self.catalog_config.to_dict(),
                 "reach_config": self.reach_config.to_dict(),
                 "catalog_seed": self.catalog_seed,
-                "catalog_world_population": self.catalog_world_population,
-                "world_population": self.world_population,
             },
         )
 
@@ -139,11 +135,7 @@ class ReachModelSpec:
         """
 
         def generate() -> InterestCatalog:
-            return InterestCatalog.generate(
-                self.catalog_config,
-                world_population=self.catalog_world_population,
-                seed=self.catalog_seed,
-            )
+            return InterestCatalog.generate(self.catalog_config, seed=self.catalog_seed)
 
         if cache is None:
             catalog = generate()
@@ -153,15 +145,10 @@ class ReachModelSpec:
             from ..io.artifacts import CATALOG_CODEC
 
             key = catalog_stage_key(
-                self.catalog_config, self.catalog_seed, self.catalog_world_population
+                self.catalog_config, self.catalog_seed, DEFAULT_WORLD_POPULATION
             )
             catalog = cache.get_or_build(key, generate, codec=CATALOG_CODEC)
-        return StatisticalReachModel(
-            catalog,
-            self.reach_config,
-            world_population=self.world_population,
-            spec=self,
-        )
+        return StatisticalReachModel(catalog, self.reach_config, spec=self)
 
 
 class StatisticalReachModel(ReachBackend):

@@ -108,14 +108,8 @@ class ManifestEntry:
 class RunManifest:
     """Ordered per-spec outcomes of one sweep run (insertion = grid order)."""
 
-    def __init__(
-        self,
-        entries: Iterable[ManifestEntry] = (),
-        *,
-        notes: Mapping | None = None,
-    ) -> None:
+    def __init__(self, entries: Iterable[ManifestEntry] = ()) -> None:
         self._entries: dict[str, ManifestEntry] = {}
-        self._notes: dict[str, object] = dict(notes or {})
         for entry in entries:
             self.record(entry)
 
@@ -125,11 +119,6 @@ class RunManifest:
         """Record (or overwrite) the outcome for one scenario."""
         self._entries[entry.scenario] = entry
         return self
-
-    @property
-    def notes(self) -> dict:
-        """Run-level metadata notes (a copy)."""
-        return dict(self._notes)
 
     # -- views ---------------------------------------------------------------------
 
@@ -189,16 +178,18 @@ class RunManifest:
     # -- persistence ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "version": MANIFEST_VERSION,
             "entries": [entry.to_dict() for entry in self],
         }
-        if self._notes:
-            payload["notes"] = dict(self._notes)
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunManifest":
+        """Rebuild a manifest from a :meth:`to_dict` payload.
+
+        Other keys, such as the ``notes`` that older manifests carry, are
+        ignored, so those manifests still resume.
+        """
         version = payload.get("version")
         if version != MANIFEST_VERSION:
             raise ConfigurationError(
@@ -208,10 +199,7 @@ class RunManifest:
         entries = payload.get("entries")
         if not isinstance(entries, list):
             raise ConfigurationError("manifest 'entries' must be a list")
-        return cls(
-            (ManifestEntry.from_dict(entry) for entry in entries),
-            notes=payload.get("notes"),
-        )
+        return cls(ManifestEntry.from_dict(entry) for entry in entries)
 
     def save(self, path: str | Path) -> Path:
         """Write the manifest as JSON (atomically: write-then-rename)."""

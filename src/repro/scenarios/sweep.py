@@ -30,7 +30,9 @@ grid row* — keyed by the row's position in the resolved grid, which is
 invariant under chunking, build-grouping and worker counts, so a chaos
 sweep replays identically on every backend — while "crash" faults are
 handed down to the shard runner (:meth:`FaultPlan.restricted`), whose
-pool-rebuild recovery they exercise.  ``on_error`` picks the degradation
+pool-rebuild recovery they exercise.  A faulted row re-runs at once, with
+no backoff: rows keep no clock, so a "slow" decision costs a row nothing
+and waiting would change no result.  ``on_error`` picks the degradation
 mode: ``"raise"`` aborts on the first spec that exhausts its retries,
 ``"skip"`` dead-letters it (error + traceback captured in the
 :class:`~repro.scenarios.manifest.RunManifest`) and returns the partial
@@ -56,7 +58,7 @@ from ..cache import build_cache, resolve_cache_root, stable_fingerprint
 from ..core.results import ResultSet, ScenarioResult
 from ..errors import ConfigurationError
 from ..exec import ShardExecutor
-from ..faults import FaultPlan, RetryPolicy, WallClockRetryPolicy, guarded_call
+from ..faults import FaultPlan, RetryPolicy, guarded_call
 from .experiments import run_scenario
 from .manifest import ManifestEntry, RunManifest
 from .spec import ScenarioSpec
@@ -366,7 +368,7 @@ class SweepRunner:
         if isinstance(resume, (str, Path)):
             resume = RunManifest.load(resume)
         retry, spec_faults, runner_faults = self._fault_split()
-        manifest = RunManifest(notes={"retry_clock": _retry_clock_note(retry)})
+        manifest = RunManifest()
         fingerprints = {spec.name: spec.fingerprint() for spec in resolved}
         positions = {spec.name: index for index, spec in enumerate(resolved)}
         pending: list[ScenarioSpec] = []
@@ -406,8 +408,7 @@ class SweepRunner:
         # Freshly run rows keep their live results (``raw`` included);
         # resumed rows hydrate the canonical fields from the manifest.
         ordered = RunManifest(
-            (manifest.get(spec.name) for spec in resolved if spec.name in manifest),
-            notes=manifest.notes,
+            manifest.get(spec.name) for spec in resolved if spec.name in manifest
         )
         results = ResultSet(
             live.get(entry.scenario) or entry.hydrate()
@@ -440,20 +441,6 @@ def manifest_path_for(
         "sweep-manifest", {"specs": [spec.fingerprint() for spec in specs]}
     )
     return resolve_cache_root(root) / "manifests" / f"{digest}.json"
-
-
-def _retry_clock_note(retry: RetryPolicy | None) -> str:
-    """Which clock drove retry backoff: "wall", "sim" or "none".
-
-    Recorded as a manifest note so a resumed or audited run can tell
-    whether its retries really slept (jittered wall clock) or elapsed on
-    the free simulated clock.
-    """
-    if retry is None:
-        return "none"
-    if isinstance(retry, WallClockRetryPolicy):
-        return "wall"
-    return "sim"
 
 
 def _entry_for(

@@ -51,12 +51,13 @@ passed while queued, or backoff/slow-fault latency would pass it →
 account suspended after admission → ``failed``.  Admitted requests are
 never silently dropped: every submission produces exactly one response.
 
-Two clocks, deliberately: the *service* clock (deadlines, backoff,
-breaker cooldowns) is the injected virtual clock that tests and soaks
-drive tick by tick; the backing API keeps its own private clock for
+Two clocks, deliberately: the *service* clock (deadlines, retry
+backoff, breaker cooldowns) is the injected virtual clock that tests and
+soaks drive tick by tick; the backing API keeps its own private clock for
 rate-limit refills and ``auto_wait`` fast-forwards, so billing-side time
-never contaminates deadline accounting (the same separation the fault
-layer's private backoff clocks rely on).
+never contaminates deadline accounting.  The service is the only place a
+:class:`~repro.faults.RetryPolicy`'s backoff elapses: shard and sweep
+retries re-run at once.
 
 When neither ``retry`` nor ``faults`` is given the service picks up
 :func:`~repro.faults.ambient_chaos` from the environment, so the CI
@@ -424,8 +425,7 @@ class ReachService:
             breaker = self._breaker(entry.request.tenant)
             breaker.record_failure(now)
             next_attempt = entry.attempt + 1
-            retryable = self._retry is not None and self._retry.is_retryable(error)
-            if not retryable or next_attempt >= self._retry.max_attempts:
+            if self._retry is None or next_attempt >= self._retry.max_attempts:
                 self._stats.failed += 1
                 responses.append(
                     self._resolve(
@@ -437,7 +437,7 @@ class ReachService:
                     )
                 )
                 return None
-            delay = self._retry.backoff_delay(entry.attempt, error, salt=entry.index)
+            delay = self._retry.backoff_delay(entry.attempt, error)
             if now + delay > entry.deadline:
                 responses.append(
                     self._expire(

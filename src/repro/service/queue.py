@@ -37,7 +37,7 @@ from .responses import ReachRequest
 class QueuedRequest:
     """A queued request plus the mutable bookkeeping the loop needs."""
 
-    #: Monotonic admission id — the fault-plan task index and jitter salt.
+    #: Monotonic admission id — the fault-plan task index.
     index: int
     request: ReachRequest
     #: Service virtual time of admission.

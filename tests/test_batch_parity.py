@@ -204,28 +204,6 @@ class TestCollectorParity:
         )
         assert batched_samples.user_ids == scalar_samples.user_ids
 
-    def test_collect_for_users_preserves_requested_order(self, stack):
-        simulation, fresh_api = stack
-        collector = AudienceSizeCollector(
-            fresh_api(), simulation.panel, max_interests=4, locations=country_codes()
-        )
-        wanted = [user.user_id for user in list(simulation.panel)[:6]]
-        reversed_ids = list(reversed(wanted))
-        samples = collector.collect_for_users(LeastPopularSelection(), reversed_ids)
-        assert list(samples.user_ids) == reversed_ids
-
-    def test_collect_for_users_collapses_duplicates(self, stack):
-        simulation, fresh_api = stack
-        collector = AudienceSizeCollector(
-            fresh_api(), simulation.panel, max_interests=4, locations=country_codes()
-        )
-        first = list(simulation.panel)[0].user_id
-        samples = collector.collect_for_users(
-            LeastPopularSelection(), [first, first, first]
-        )
-        assert samples.n_users == 1
-
-
 class TestFitVasManyParity:
     @pytest.fixture(scope="class")
     def matrix(self) -> np.ndarray:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import build_simulation, quick_config
 from repro.analysis import format_records
 from repro.campaigns import AdvertiserWorkloadGenerator
@@ -32,6 +37,15 @@ class TestParser:
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "command", [["scenario", "sweep", "fdvt-risk"], ["serve"]], ids=["sweep", "serve"]
+    )
+    def test_wall_clock_retries_is_not_an_option(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--wall-clock-retries"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --wall-clock-retries" in capsys.readouterr().err
 
     def test_defaults(self):
         args = build_parser().parse_args(["uniqueness"])
@@ -360,6 +374,24 @@ class TestErrorHygiene:
         err = capsys.readouterr().err
         assert err == "repro-facebook: configuration error: factor must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "command", [["scenario", "list"], ["faults", "--tasks", "4"]],
+        ids=["scenario-list", "faults"],
+    )
+    def test_closed_stdout_exits_1_quietly(self, command):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *command],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as process:
+            process.stdout.close()
+            err = process.stderr.read()
+            assert process.wait(timeout=120) == 1
+        assert err == b""
+
     def test_execution_errors_exit_3(self, capsys):
         exit_code = main(["fdvt-report", *FACTOR, "--user-id", "999999"])
         assert exit_code == 3
@@ -457,24 +489,28 @@ class TestScenarioSweepFaultTolerance:
         assert "2 resumed" in capsys.readouterr().out
         assert json.loads(resumed.read_text()) == json.loads(clean.read_text())
 
-    def test_manifest_notes_record_the_retry_clock(self, tmp_path, capsys):
+    def test_manifest_with_old_notes_resumes(self, tmp_path, capsys):
+        # Older manifests carry a run-level "notes" object; new ones do not.
         spec_file = self._grid_file(tmp_path)
         manifest = tmp_path / "manifest.json"
+        clean, resumed = tmp_path / "clean.json", tmp_path / "resumed.json"
         assert main(
             [
-                "scenario", "sweep", "--spec", str(spec_file),
-                "--retries", "1", "--manifest", str(manifest),
+                "scenario", "sweep", "--spec", str(spec_file), "--retries", "1",
+                "--manifest", str(manifest), "--output", str(clean),
             ]
         ) == 0
-        assert json.loads(manifest.read_text())["notes"]["retry_clock"] == "sim"
+        payload = json.loads(manifest.read_text())
+        assert "notes" not in payload
+        manifest.write_text(json.dumps({**payload, "notes": {"retry_clock": "sim"}}))
         assert main(
             [
-                "scenario", "sweep", "--spec", str(spec_file),
-                "--retries", "1", "--wall-clock-retries",
-                "--manifest", str(manifest),
+                "scenario", "sweep", "--spec", str(spec_file), "--retries", "1",
+                "--resume", str(manifest), "--output", str(resumed),
             ]
         ) == 0
-        assert json.loads(manifest.read_text())["notes"]["retry_clock"] == "wall"
+        assert "2 resumed" in capsys.readouterr().out
+        assert json.loads(resumed.read_text()) == json.loads(clean.read_text())
 
     def test_resume_with_a_bad_manifest_exits_2(self, tmp_path, capsys):
         spec_file = self._grid_file(tmp_path)
@@ -493,11 +529,8 @@ class TestFaultsCommand:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "fault plan:" in out
-        assert "retry policy (sim clock" in out
-        assert "retry policy (wall clock" in out
-        assert "clock: sim" in out
-        assert "clock: wall" in out
-        assert "jitter: full" in out
+        assert out.count("retry policy") == 1
+        assert "retry policy:\n  max_attempts: 4\n" in out
         assert "preview:" in out
         assert "convergence: guaranteed" in out
 

@@ -304,20 +304,18 @@ class TestCollectionParity:
     def test_collect_for_users_matches(
         self, parity_reach_model, object_panel, columnar_panel
     ):
+        # A sub-panel gathered from the CSR rows, out of panel order.
         strategy = LeastPopularSelection()
-        wanted = [u.user_id for u in object_panel.users[10:30]] + [10**9, 10]
-        reference = AudienceSizeCollector(
-            self._api(parity_reach_model),
-            object_panel,
-            max_interests=10,
-            locations=country_codes(),
-        ).collect_for_users(strategy, wanted)
-        columnar = AudienceSizeCollector(
-            self._api(parity_reach_model),
-            columnar_panel,
-            max_interests=10,
-            locations=country_codes(),
-        ).collect_for_users(strategy, wanted)
+        rows = np.array([*range(10, 30), 3])
+        reference, columnar = (
+            AudienceSizeCollector(
+                self._api(parity_reach_model),
+                FDVTPanel.from_columns(panel.columns.take(rows), panel.catalog),
+                max_interests=10,
+                locations=country_codes(),
+            ).collect(strategy)
+            for panel in (object_panel, columnar_panel)
+        )
         assert np.array_equal(columnar.matrix, reference.matrix, equal_nan=True)
         assert columnar.user_ids == reference.user_ids
 
@@ -399,7 +397,7 @@ class TestPipelineLayout:
 
 
 class TestSweepLayoutNote:
-    """Manifests carry no panel-layout note; old manifests that do resume."""
+    """Manifests carry no notes; old ones whose notes name a layout resume."""
 
     def _grid(self):
         return [
@@ -415,23 +413,22 @@ class TestSweepLayoutNote:
 
     def test_manifest_carries_no_layout_note(self):
         report = SweepRunner().run_report(self._grid())
-        assert "panel_layout" not in report.manifest.notes
+        assert "notes" not in report.manifest.to_dict()
 
     @pytest.mark.parametrize("layout", ["columnar", "objects"])
     def test_old_layout_notes_resume(self, layout):
         report = SweepRunner().run_report(self._grid())
-        old = RunManifest(
-            report.manifest.completed(),
-            notes={**report.manifest.notes, "panel_layout": layout},
+        old = RunManifest.from_dict(
+            {**report.manifest.to_dict(), "notes": {"panel_layout": layout}}
         )
         resumed = SweepRunner().run_report(self._grid(), resume=old)
         assert all(entry.resumed for entry in resumed.manifest.completed())
         assert resumed.results == report.results
-        assert "panel_layout" not in resumed.manifest.notes
+        assert "notes" not in resumed.manifest.to_dict()
 
     def test_legacy_manifest_without_note_resumes(self):
         report = SweepRunner().run_report(self._grid())
-        legacy = RunManifest(report.manifest.completed(), notes=report.manifest.notes)
+        legacy = RunManifest(report.manifest.completed())
         resumed = SweepRunner().run_report(self._grid(), resume=legacy)
         assert all(entry.resumed for entry in resumed.manifest.completed())
         assert resumed.results == report.results

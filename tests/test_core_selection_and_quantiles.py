@@ -119,10 +119,6 @@ class TestAudienceSamples:
         assert np.allclose(combined[0], samples.vas(50.0), equal_nan=True)
         assert np.allclose(combined[1], samples.vas(90.0), equal_nan=True)
 
-    def test_audience_quantile_single_value(self):
-        samples = _samples()
-        assert samples.audience_quantile(50.0, 1) == pytest.approx(1250.0)
-
     def test_subset_rows(self):
         samples = _samples()
         subset = samples.subset_rows([0, 2])
@@ -137,7 +133,7 @@ class TestAudienceSamples:
         with pytest.raises(ModelError):
             _samples().vas(0.0)
         with pytest.raises(ModelError):
-            _samples().audience_quantile(101.0, 1)
+            _samples().vas_many([50.0, 101.0])
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ModelError):

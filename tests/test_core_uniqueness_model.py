@@ -54,32 +54,6 @@ class TestAudienceSizeCollector:
         with pytest.raises(ModelError):
             AudienceSizeCollector(api, simulation.panel, max_interests=30)
 
-    def test_collect_for_users_subsets_rows(self, simulation):
-        api = AdsManagerAPI(
-            simulation.reach_model,
-            platform=PlatformConfig.legacy_2017(),
-            clock=SimClock(),
-        )
-        collector = AudienceSizeCollector(
-            api, simulation.panel, max_interests=4, locations=country_codes()
-        )
-        wanted = [user.user_id for user in list(simulation.panel)[:5]]
-        samples = collector.collect_for_users(LeastPopularSelection(), wanted)
-        assert samples.n_users == 5
-
-    def test_collect_for_unknown_users_rejected(self, simulation):
-        api = AdsManagerAPI(
-            simulation.reach_model,
-            platform=PlatformConfig.legacy_2017(),
-            clock=SimClock(),
-        )
-        collector = AudienceSizeCollector(
-            api, simulation.panel, max_interests=4, locations=country_codes()
-        )
-        with pytest.raises(ModelError):
-            collector.collect_for_users(LeastPopularSelection(), [10**9])
-
-
 class TestUniquenessModel:
     def test_reports_contain_requested_probabilities(self, uniqueness_setup):
         _, model = uniqueness_setup

@@ -550,22 +550,6 @@ class TestWorkloadImpactKernel:
         )
         assert sharded == impact
 
-    def test_rules_without_matrix_kernel_fall_back(self, simulation, workload):
-        class OddInterestRule:
-            name = "odd_interests"
-
-            def evaluate(self, spec, raw_audience, active_audience):
-                return "odd" if spec.interest_count % 2 else None
-
-        api = AdsManagerAPI(
-            simulation.reach_model,
-            platform=PlatformConfig.modern_2020(),
-            clock=SimClock(),
-        )
-        impact = evaluate_workload_impact(api, workload, [OddInterestRule()])
-        expected = sum(1 for spec in workload if spec.interest_count % 2)
-        assert impact.rejected_campaigns == expected
-
     def test_evaluate_matrix_agrees_with_scalar_evaluate(self):
         counts = np.array([1, 5, 9, 10, 25])
         raw = np.array([10.0, 500.0, 999.0, 1_000.0, 5e6])

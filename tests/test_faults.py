@@ -18,7 +18,6 @@ The load-bearing claims, each pinned here:
 from __future__ import annotations
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -41,13 +40,12 @@ from repro.faults import (
     FAULT_DEPTHS,
     FAULT_RATE_ENV,
     FAULT_SEED_ENV,
+    RETRYABLE_ERRORS,
     FaultPlan,
     RetryPolicy,
-    WallClockRetryPolicy,
     ambient_chaos,
     fire_inner,
     guarded_call,
-    run_guarded,
 )
 from repro.reach import country_codes
 from repro.scenarios import (
@@ -114,10 +112,6 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             CHAOS.restricted("meteor")
 
-    def test_derive_follows_the_seed_discipline(self):
-        assert FaultPlan.derive(11, "sweep").seed == FaultPlan.derive(11, "sweep").seed
-        assert FaultPlan.derive(11, "sweep").seed != FaultPlan.derive(11, "shard").seed
-
     def test_invalid_plans_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultPlan(seed=1, error_rate=1.5)
@@ -152,19 +146,30 @@ class TestRetryPolicy:
         assert policy.backoff_delay(0, error) == 9.0
 
     def test_retryable_classification(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(TransientApiError())
-        assert policy.is_retryable(WorkerCrashError("boom"))
-        assert not policy.is_retryable(ConfigurationError("bad"))
-        assert not policy.is_retryable(PanelError("bad"))
+        assert isinstance(TransientApiError(), RETRYABLE_ERRORS)
+        assert isinstance(WorkerCrashError("boom"), RETRYABLE_ERRORS)
+        assert not isinstance(ConfigurationError("bad"), RETRYABLE_ERRORS)
+        assert not isinstance(PanelError("bad"), RETRYABLE_ERRORS)
+
+    def test_describe_lists_the_knobs_and_the_retryable_errors(self):
+        assert RetryPolicy(max_attempts=4).describe() == {
+            "max_attempts": 4,
+            "base_delay_seconds": 0.5,
+            "multiplier": 2.0,
+            "max_delay_seconds": 60.0,
+            "retryable": (
+                "TransientApiError",
+                "RateLimitExceededError",
+                "WorkerCrashError",
+                "InjectedFaultError",
+            ),
+        }
 
     def test_invalid_policies_rejected(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(deadline_seconds=0.0)
 
 
 class TestGuardedCall:
@@ -179,7 +184,7 @@ class TestGuardedCall:
     def test_without_retry_the_fault_propagates(self):
         plan = FaultPlan(seed=3, error_rate=1.0)
         with pytest.raises(InjectedFaultError):
-            run_guarded(_square, 6, index=0, faults=plan)
+            guarded_call(_square, 6, index=0, faults=plan)
 
     def test_non_retryable_errors_fail_fast(self):
         calls = []
@@ -200,19 +205,6 @@ class TestGuardedCall:
             )
         assert excinfo.value.attempts == 3
 
-    def test_deadline_stops_retrying_early(self):
-        plan = FaultPlan(seed=3, transient_rate=1.0, max_faults_per_task=10)
-        policy = RetryPolicy(
-            max_attempts=50,
-            base_delay_seconds=10.0,
-            multiplier=1.0,
-            deadline_seconds=25.0,
-        )
-        with pytest.raises(TransientApiError) as excinfo:
-            guarded_call(_square, 6, index=0, retry=policy, faults=plan)
-        # 10s + 10s backoffs fit the 25s budget, the third does not.
-        assert excinfo.value.attempts == 3
-
     def test_base_attempt_offsets_the_fault_stream(self):
         plan = FaultPlan(seed=3, error_rate=1.0, max_faults_per_task=2)
         # Starting past the fault bound, the task runs clean first try.
@@ -220,101 +212,6 @@ class TestGuardedCall:
             _square, 6, index=0, faults=plan, base_attempt=plan.max_faults_per_task
         )
         assert (value, attempts) == (36, 1)
-
-
-class TestWallClockRetryPolicy:
-    """The service-side retry policy: same contract, real clock, full jitter."""
-
-    def _virtual_timer_pair(self):
-        """A fake (timer, sleeper) pair: sleeping advances the timer."""
-        now = [0.0]
-        sleeps: list[float] = []
-
-        def timer() -> float:
-            return now[0]
-
-        def sleeper(seconds: float) -> None:
-            sleeps.append(seconds)
-            now[0] += seconds
-
-        return timer, sleeper, sleeps
-
-    def test_jitter_is_seeded_and_reproducible(self):
-        policy = WallClockRetryPolicy(jitter_seed=7)
-        twin = WallClockRetryPolicy(jitter_seed=7)
-        pairs = [(a, s) for a in range(4) for s in range(3)]
-        delays = [policy.backoff_delay(a, salt=s) for a, s in pairs]
-        assert delays == [twin.backoff_delay(a, salt=s) for a, s in pairs]
-        assert delays != [
-            WallClockRetryPolicy(jitter_seed=8).backoff_delay(a, salt=s)
-            for a, s in pairs
-        ]
-
-    def test_full_jitter_stays_under_the_exponential_cap(self):
-        wall = WallClockRetryPolicy(jitter_seed=3)
-        sim = RetryPolicy()  # shares the exponential-cap knobs
-        for attempt in range(12):
-            cap = sim.backoff_delay(attempt)
-            for salt in range(5):
-                assert 0.0 <= wall.backoff_delay(attempt, salt=salt) <= cap
-
-    def test_salts_decorrelate_concurrent_callers(self):
-        # Same attempt, different callers: the reach service salts with
-        # the request id precisely so a shared outage does not stampede.
-        policy = WallClockRetryPolicy(jitter_seed=1)
-        delays = {policy.backoff_delay(0, salt=s) for s in range(16)}
-        assert len(delays) > 1
-
-    def test_retry_after_hint_raises_the_floor(self):
-        policy = WallClockRetryPolicy(jitter_seed=1, base_delay_seconds=0.01)
-        hinted = TransientApiError("throttled", retry_after_seconds=9.0)
-        assert policy.backoff_delay(0, hinted, salt=0) >= 9.0
-
-    def test_describe_reports_the_clock(self):
-        wall = WallClockRetryPolicy(jitter_seed=4).describe()
-        assert wall["clock"] == "wall"
-        assert wall["jitter"] == "full"
-        assert wall["jitter_seed"] == 4
-        assert RetryPolicy().describe()["clock"] == "sim"
-
-    def test_policy_is_picklable_with_default_timer_pair(self):
-        # The timer/sleeper defaults resolve lazily, so the policy ships
-        # to process-pool workers like the simulated one does.
-        policy = WallClockRetryPolicy(max_attempts=4, jitter_seed=2)
-        clone = pickle.loads(pickle.dumps(policy))
-        assert clone == policy
-        assert clone.backoff_delay(1, salt=0) == policy.backoff_delay(1, salt=0)
-
-    def test_injected_timer_pair_drives_guarded_call_without_sleeping(self):
-        timer, sleeper, sleeps = self._virtual_timer_pair()
-        plan = FaultPlan(seed=3, transient_rate=1.0, max_faults_per_task=2)
-        policy = WallClockRetryPolicy(
-            max_attempts=3, jitter_seed=1, timer=timer, sleeper=sleeper
-        )
-        value, attempts = guarded_call(
-            _square, 6, index=0, retry=policy, faults=plan
-        )
-        assert (value, attempts) == (36, 3)
-        hinted = TransientApiError("", retry_after_seconds=plan.retry_after_seconds)
-        assert sleeps == pytest.approx(
-            [policy.backoff_delay(a, hinted, salt=0) for a in (0, 1)]
-        )
-
-    def test_wall_deadline_measured_on_the_injected_timer(self):
-        timer, sleeper, sleeps = self._virtual_timer_pair()
-        # The injected retry_after floor (6s) already blows the 5s budget,
-        # so the first failure gives up without sleeping at all.
-        plan = FaultPlan(
-            seed=3, transient_rate=1.0, retry_after_seconds=6.0,
-            max_faults_per_task=10,
-        )
-        policy = WallClockRetryPolicy(
-            max_attempts=50, deadline_seconds=5.0, timer=timer, sleeper=sleeper
-        )
-        with pytest.raises(TransientApiError) as excinfo:
-            guarded_call(_square, 6, index=0, retry=policy, faults=plan)
-        assert excinfo.value.attempts == 1
-        assert sleeps == []
 
 
 class TestKernelDepthInjection:
@@ -344,7 +241,7 @@ class TestKernelDepthInjection:
             return x
 
         with pytest.raises(InjectedFaultError):
-            run_guarded(body, 1, index=0, faults=plan)
+            guarded_call(body, 1, index=0, faults=plan)
         # Unlike guard depth, the body was already running when it failed.
         assert entered == [1]
 
@@ -367,7 +264,7 @@ class TestKernelDepthInjection:
             fire_inner("guard")  # wrong site: stays silent
             return x
 
-        assert run_guarded(body, 5, index=0, faults=plan) == 5
+        assert guarded_call(body, 5, index=0, faults=plan) == (5, 1)
         # The context is reset after the call — later sites see nothing.
         fire_inner("kernel")
 
@@ -379,7 +276,7 @@ class TestKernelDepthInjection:
             return x
 
         with pytest.raises(InjectedFaultError):
-            run_guarded(body, 1, index=0, faults=plan)
+            guarded_call(body, 1, index=0, faults=plan)
         # Consumed at the guard: attempt 1 runs clean, body included.
         value, attempts = guarded_call(
             body, 7, index=0, retry=RetryPolicy(max_attempts=2), faults=plan
@@ -534,7 +431,7 @@ class TestBillingChaosParity:
             seed=5, error_rate=1.0, depth="billing", max_faults_per_task=1
         )
         with pytest.raises(InjectedFaultError):
-            run_guarded(api.settle_reach_bill, bill, index=0, faults=plan)
+            guarded_call(api.settle_reach_bill, bill, index=0, faults=plan)
         assert self._accounting(api) == untouched
 
     def test_retried_settle_bills_exactly_once(self, simulation):
@@ -566,7 +463,7 @@ class TestBillingChaosParity:
             fire_inner("kernel")
             return x * x
 
-        assert run_guarded(body, 4, index=0, faults=plan) == 16
+        assert guarded_call(body, 4, index=0, faults=plan) == (16, 1)
 
 
 #: Kernel-depth chaos: error kinds only, raised *inside* the reach-shard

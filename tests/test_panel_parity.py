@@ -316,25 +316,6 @@ class TestCollectorThreeTierParity:
             expected = oracle(fresh_api(), panel, LeastPopularSelection(), **kwargs)
             assert np.array_equal(samples.matrix, expected.matrix, equal_nan=True)
 
-    def test_collect_for_users_subset_order_on_panel_tier(self, stack):
-        simulation, fresh_api = stack
-        collector = AudienceSizeCollector(
-            fresh_api(), simulation.panel, max_interests=4, locations=country_codes()
-        )
-        wanted = list(simulation.panel)[:6]
-        reversed_ids = [user.user_id for user in reversed(wanted)]
-        samples = collector.collect_for_users(LeastPopularSelection(), reversed_ids)
-        expected = oracles.scalar_collect(
-            fresh_api(),
-            simulation.panel.subset(list(reversed(wanted))),
-            LeastPopularSelection(),
-            max_interests=4,
-            locations=country_codes(),
-        )
-        assert list(samples.user_ids) == reversed_ids
-        assert np.array_equal(samples.matrix, expected.matrix, equal_nan=True)
-
-
 class TestOrderedInterestMatrix:
     def test_matches_scalar_ordering_for_both_strategies(self, simulation):
         users = simulation.panel.users

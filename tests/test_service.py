@@ -35,7 +35,7 @@ from repro.errors import (
     TargetingValidationError,
     TenantThrottledError,
 )
-from repro.faults import FaultPlan, RetryPolicy, WallClockRetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
 from repro.service import (
     CircuitBreaker,
     PendingQueue,
@@ -1038,25 +1038,3 @@ class TestServiceStats:
         tenant = stats["tenants"]["tenant-a"]
         assert tenant["breaker"]["state"] == "closed"
         assert tenant["bucket"]["burst"] == service.config.tenant_burst
-
-    def test_wall_clock_policy_changes_only_backoff_jitter(
-        self, simulation, interest_pool
-    ):
-        # The service consumes backoff *delays*; with a wall-clock policy
-        # those are jittered but still elapse in virtual time, so the
-        # service stays deterministic.
-        faults = FaultPlan(seed=23, transient_rate=1.0, max_faults_per_task=1)
-
-        def run_once():
-            service = make_service(
-                simulation,
-                knobs=dict(default_timeout_seconds=300.0),
-                retry=WallClockRetryPolicy(max_attempts=3, jitter_seed=77),
-                faults=faults,
-            )
-            assert service.submit(request_for(interest_pool)) is None
-            return service.run_until_idle()
-
-        first, second = run_once(), run_once()
-        assert first == second
-        assert first[0].ok
