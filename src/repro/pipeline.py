@@ -56,6 +56,7 @@ from .exec import ShardExecutor
 from .fdvt import FDVTExtension, FDVTPanel, PanelBuilder
 from .io.artifacts import CATALOG_CODEC, PanelArtifactCodec
 from .population import AssignerSpec, InterestAssigner
+from .population.generation import ASSIGNMENT_STREAM_VERSION
 from .reach import ReachModelSpec, StatisticalReachModel, country_codes
 from .simclock import SimClock
 
@@ -139,12 +140,14 @@ def panel_fingerprint(config: ReproductionConfig, seed: int | None = None) -> st
     """The content fingerprint of the panel stage under ``(config, seed)``.
 
     The panel depends on the catalog it is assigned from, its own config
-    and seed, and the interest assigner's topic-affinity boost (derived
-    from the reach config), so all four feed the digest.
+    and seed, the interest assigner's topic-affinity boost (derived from
+    the reach config) and the version of the assignment stream, so all
+    five feed the digest.
     """
     return stable_fingerprint(
         "stage:panel",
         {
+            "assignment_stream": ASSIGNMENT_STREAM_VERSION,
             "catalog": catalog_fingerprint(config, seed),
             "panel": config.panel.to_dict(),
             "topic_affinity_boost": config.reach.topic_affinity_boost,

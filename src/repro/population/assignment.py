@@ -21,19 +21,23 @@ panellist's interests through one kernel, :meth:`InterestAssigner.assign_rows`,
 which :func:`~repro.population.generation.run_interest_shard` feeds a shard
 of rows at a time.  Each row consumes its own generator in the order of the
 stream contract (stage 4 in :mod:`repro.population.generation`); because the
-per-row streams are independent, every round of draws is searched, deduped
-and assembled for all of its rows at once:
+per-row streams are independent, attempt 1 is searched, deduped and
+assembled for all rows at once:
 
-* per attempt, each row searches one uniform block against its topic CDF
+* attempt 1: each row searches one uniform block against its topic CDF
   (``searchsorted(cdf, u, side="right")``, the search ``rng.choice(p=...)``
   runs), then draws one within-topic block that the topics take in
   ascending order;
 * the within-topic draws are grouped by (bias, topic) with one stable
   argsort of a small-int key, and each group is one ``searchsorted``
   against that topic's CDF at that bias;
-* one stable sort keeps each row's first occurrences; rows still short
-  draw further rounds the same way, and a row that exhausts its attempts
-  tops up with a shuffle of the ids it lacks.
+* one stable sort keeps each row's first occurrences;
+* a row still short finishes in one draw: one exponential ``E`` per flat
+  position, and the positions it lacks follow in ascending ``E / w``,
+  where ``w`` is the chance one draw of attempt 1 lands there.  Drawing
+  with replacement and keeping first occurrences is successive sampling,
+  which exponential keys draw exactly in one pass (Efraimidis & Spirakis,
+  *Weighted random sampling with a reservoir*, IPL 2006).
 
 The per-user reference the kernel is pinned against bit for bit is
 ``oracles.ReferenceAssigner`` in ``tests/oracles.py``.
@@ -58,9 +62,6 @@ from ..errors import PopulationError
 #: of growing ``O(distinct biases × catalog size)`` state forever.
 BIAS_TABLE_CACHE_SIZE = 128
 
-#: Draw attempts per row before the deterministic top-up.
-_MAX_ATTEMPTS = 40
-
 
 def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
     """``concatenate([arange(n) for n in lengths])`` without the loop."""
@@ -70,15 +71,6 @@ def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
     starts = np.zeros(lengths.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
     return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-
-
-def _batch_sizes(needed: np.ndarray) -> np.ndarray:
-    """Draws per attempt, ``max(needed, int(needed * 1.25) + 4)`` per row.
-
-    The product is exact in float64 at these magnitudes, so the cast
-    truncates exactly as ``int`` does.
-    """
-    return np.maximum(needed, (needed * 1.25).astype(np.int64) + 4)
 
 
 def _first_occurrences(
@@ -99,6 +91,40 @@ def _first_occurrences(
     kept = order[first]
     kept.sort()
     return kept
+
+
+def _tail_positions(
+    rng: np.random.Generator, weights: np.ndarray, held: np.ndarray, need: int
+) -> np.ndarray:
+    """The ``need`` positions a row attempt 1 left short takes next.
+
+    One exponential ``E`` per position: the positions the row lacks follow
+    in ascending ``E / w`` among positive weights, then in ascending ``E``
+    among zero weights, ties in position order.
+    """
+    keys = rng.standard_exponential(weights.size)
+    positive = weights > 0
+    np.divide(keys, weights, out=keys, where=positive)
+    free = np.ones(weights.size, dtype=bool)
+    free[held] = False
+    tail = _smallest(keys, np.flatnonzero(free & positive), need)
+    if tail.size < need:
+        rest = _smallest(keys, np.flatnonzero(free & ~positive), need - tail.size)
+        tail = np.concatenate([tail, rest])
+    return tail
+
+
+def _smallest(keys: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` ascending ``candidates`` of smallest key, in key order.
+
+    Only the keys at or below the ``k``-th smallest are sorted; a stable
+    sort keeps ties in position order, as a stable sort of all would.
+    """
+    values = keys[candidates]
+    if k < values.size:
+        inside = values <= np.partition(values, k - 1)[k - 1]
+        candidates, values = candidates[inside], values[inside]
+    return candidates[np.argsort(values, kind="stable")[:k]]
 
 
 class _BiasTables:
@@ -141,9 +167,14 @@ class InterestAssigner:
         # topics first (codes 0..len(topics) - 1), each in ascending id
         # order, so its leading slots give every assignable interest
         # exactly one flat position (offset of its topic + local index).
+        # The other topics' ids follow in ascending id order: attempt 1
+        # never draws them, and the tail ranks them last.
         self._topic_offsets = catalog.topic_offsets[: len(self._topics) + 1]
-        flat_positions = catalog.topic_order[: self._topic_offsets[-1]]
-        self._flat_topic_ids = catalog.ids[flat_positions]
+        n_flat = int(self._topic_offsets[-1])
+        flat_positions = catalog.topic_order[:n_flat]
+        self._flat_ids = catalog.ids[
+            np.concatenate([flat_positions, np.sort(catalog.topic_order[n_flat:])])
+        ]
         self._flat_audiences = catalog.audiences[flat_positions].astype(float)
         self._bias_cache: OrderedDict[float, _BiasTables] = OrderedDict()
 
@@ -198,9 +229,8 @@ class InterestAssigner:
         interest ids (``int64``, CSR order) and the per-row lengths, each
         request clipped to the catalog size.  Every row draws exactly what
         the stream contract prescribes, in its order, on its own generator;
-        drawing every row's attempt ``k`` before any row's attempt ``k + 1``
-        cannot change a draw, so each round's searches and dedup run over
-        all of its rows at once.
+        drawing every row's attempt before any row's tail cannot change a
+        draw, so attempt 1's searches and dedup run over all rows at once.
         """
         counts_arr = np.asarray(counts, dtype=np.int64)
         n_rows = int(counts_arr.size)
@@ -245,43 +275,38 @@ class InterestAssigner:
         targets = row_counts[active]
         n_active = active.size
 
-        # Round 1 for every row, then first-occurrence dedup.
-        slots = np.arange(n_active, dtype=np.int64)
-        row_rep, positions = self._draw_round(
-            rngs, slots, _batch_sizes(targets), topic_cdfs, bias_of_slot, tables
+        # Attempt 1 for every row, ``max(n, int(n * 1.25) + 4)`` draws (the
+        # product is exact in float64, so the cast truncates as ``int``
+        # does), then first-occurrence dedup.
+        batch = np.maximum(targets, (targets * 1.25).astype(np.int64) + 4)
+        row_rep, positions = self._first_attempt(
+            rngs, batch, topic_cdfs, bias_of_slot, tables
         )
-        kept_idx = _first_occurrences(row_rep, positions, self._flat_topic_ids.size)
+        kept_idx = _first_occurrences(row_rep, positions, self._flat_ids.size)
         kept_pos = positions[kept_idx]
         kept_counts = np.bincount(row_rep[kept_idx], minlength=n_active)
         kept_starts = np.zeros(n_active + 1, dtype=np.int64)
         np.cumsum(kept_counts, out=kept_starts[1:])
 
-        # Rows round 1 satisfied (the vast majority) fill the output in one
-        # gather/scatter, truncated like the reference's ``chosen[:n]``;
-        # the rest keep drawing.
+        # Rows attempt 1 satisfied (the vast majority) fill the output in
+        # one gather/scatter, truncated like the reference's ``chosen[:n]``;
+        # the rest finish with one exponential-key draw each.
         starts = out_offsets[active]
         satisfied = kept_counts >= targets
         take = np.where(satisfied, targets, 0)
         span = _concat_ranges(take)
-        out[np.repeat(starts, take) + span] = self._flat_topic_ids[
+        out[np.repeat(starts, take) + span] = self._flat_ids[
             kept_pos[np.repeat(kept_starts[:-1], take) + span]
         ]
-        pending = np.flatnonzero(~satisfied)
-        # Bound the pending × n_flat seen planes; the streams are
-        # independent, so chunking the rows cannot change any draw.
-        chunk_rows = max(1, 32_000_000 // max(1, self._flat_topic_ids.size))
-        for lo in range(0, pending.size, chunk_rows):
-            chunk = pending[lo : lo + chunk_rows]
-            rows = self._finish_rows(
-                [rngs[s] for s in chunk.tolist()],
-                targets[chunk],
-                [kept_pos[kept_starts[s] : kept_starts[s + 1]] for s in chunk.tolist()],
-                topic_cdfs[chunk],
-                bias_of_slot[chunk],
-                tables,
-            )
-            for s, row_ids in zip(chunk.tolist(), rows):
-                out[starts[s] : starts[s] + targets[s]] = row_ids
+        # One short row at a time, so the tail's transient memory is a few
+        # catalog-sized vectors whatever the number of short rows.
+        for s in np.flatnonzero(~satisfied).tolist():
+            held = kept_pos[kept_starts[s] : kept_starts[s + 1]]
+            weights = self._tail_weights(topic_cdfs[s], tables[bias_of_slot[s]])
+            tail = _tail_positions(rngs[s], weights, held, targets[s] - held.size)
+            out[starts[s] : starts[s] + targets[s]] = self._flat_ids[
+                np.concatenate([held, tail])
+            ]
         return out, row_counts
 
     # -- internals ------------------------------------------------------------
@@ -355,45 +380,41 @@ class InterestAssigner:
         cdf /= cdf[:, -1:]
         return cdf
 
-    def _draw_round(
+    def _first_attempt(
         self,
         rngs: list[np.random.Generator],
-        rows: np.ndarray,
         lens: np.ndarray,
         topic_cdfs: np.ndarray,
         bias_of_row: np.ndarray,
         tables: list[_BiasTables],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One attempt for each of ``rows``: ``(row of each draw, flat position)``.
+        """Attempt 1 of every row: ``(row of each draw, flat position)``.
 
-        Row ``r = rows[i]`` draws ``lens[i]`` topic uniforms from
-        ``rngs[r]`` and searches them against ``topic_cdfs[r]``, then draws
-        ``lens[i]`` within-topic uniforms.  The reference hands that block
-        out in ascending topic order (``np.unique`` of the topic draws, one
-        slice per topic), so each row's topics are rebuilt sorted from
-        their (row, topic) counts and paired with its uniforms in turn.
+        Row ``r`` draws ``lens[r]`` topic uniforms from ``rngs[r]`` and
+        searches them against ``topic_cdfs[r]``, then draws ``lens[r]``
+        within-topic uniforms.  The reference hands that block out in
+        ascending topic order (``np.unique`` of the topic draws, one slice
+        per topic), so each row's topics are rebuilt sorted from their
+        (row, topic) counts and paired with its uniforms in turn.
         """
-        n_topics = len(self._topics)
+        n_rows, n_topics = len(rngs), len(self._topics)
         topic_parts: list[np.ndarray] = []
         uniform_parts: list[np.ndarray] = []
-        for row, batch in zip(rows.tolist(), lens.tolist()):
-            rng = rngs[row]
-            topic_parts.append(
-                topic_cdfs[row].searchsorted(rng.random(batch), side="right")
-            )
+        for rng, topic_cdf, batch in zip(rngs, topic_cdfs, lens.tolist()):
+            topic_parts.append(topic_cdf.searchsorted(rng.random(batch), side="right"))
             uniform_parts.append(rng.random(batch))
-        local = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
+        row_rep = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
         per_topic = np.bincount(
-            local * n_topics + np.concatenate(topic_parts),
-            minlength=rows.size * n_topics,
+            row_rep * n_topics + np.concatenate(topic_parts),
+            minlength=n_rows * n_topics,
         )
-        topics = np.repeat(np.tile(np.arange(n_topics), rows.size), per_topic)
+        topics = np.repeat(np.tile(np.arange(n_topics), n_rows), per_topic)
         uniforms = np.concatenate(uniform_parts)
 
         # Within-topic phase: group the draws by (bias, topic) and search
         # each group against that topic's CDF at that bias; the results
         # scatter back to draw order, so order within a group is free.
-        groups = bias_of_row[rows][local] * n_topics + topics
+        groups = bias_of_row[row_rep] * n_topics + topics
         n_groups = len(tables) * n_topics
         key = groups.astype(np.int16) if n_groups <= 1 << 15 else groups
         order = np.argsort(key, kind="stable")
@@ -412,75 +433,25 @@ class InterestAssigner:
         # itself), above every uniform, so no search runs past its topic.
         positions = self._topic_offsets[topics]
         positions[order] += found
-        return np.repeat(rows, lens), positions
+        return row_rep, positions
 
-    def _finish_rows(
-        self,
-        rngs: list[np.random.Generator],
-        targets: np.ndarray,
-        first_round: list[np.ndarray],
-        topic_cdfs: np.ndarray,
-        bias_of_row: np.ndarray,
-        tables: list[_BiasTables],
-    ) -> list[np.ndarray]:
-        """Attempts 2..40 and the top-up for rows round 1 left short.
+    def _tail_weights(self, topic_cdf: np.ndarray, tables: _BiasTables) -> np.ndarray:
+        """One row's chance that one draw of attempt 1 lands on each position.
 
-        ``first_round`` holds each row's round-1 positions; returns each
-        row's ids.  Rounds run like round 1, with the positions a row
-        already holds masked out through a per-row ``seen`` plane.
+        The position's topic step in the row's topic CDF times its step in
+        the topic's within-topic CDF at the row's bias, the CDFs attempt 1
+        searches.  Positions outside the taxonomy topics weigh 0, and so
+        does an all-zero topic (its within-topic CDF is 0/0).
         """
-        n_flat = self._flat_topic_ids.size
-        n_rows = targets.size
-        pieces = [[piece] for piece in first_round]
-        chosen = np.array([piece.size for piece in first_round], dtype=np.int64)
-        seen = np.zeros((n_rows, n_flat), dtype=bool)
-        for i, piece in enumerate(first_round):
-            seen[i, piece] = True
-
-        alive = np.flatnonzero(chosen < targets)
-        attempts = 1
-        while alive.size and attempts < _MAX_ATTEMPTS:
-            attempts += 1
-            lens = _batch_sizes(targets[alive] - chosen[alive])
-            row_rep, positions = self._draw_round(
-                rngs, alive, lens, topic_cdfs, bias_of_row, tables
-            )
-            kept = _first_occurrences(row_rep, positions, n_flat)
-            new_pos = positions[kept]
-            new_row = row_rep[kept]
-            unseen = ~seen[new_row, new_pos]
-            new_pos = new_pos[unseen]
-            new_row = new_row[unseen]
-            seen[new_row, new_pos] = True
-            counts_new = np.bincount(new_row, minlength=n_rows)
-            splits = np.split(new_pos, np.cumsum(counts_new[alive])[:-1])
-            for piece, i in zip(splits, alive.tolist()):
-                if piece.size:
-                    pieces[i].append(piece)
-            chosen += counts_new
-            alive = alive[chosen[alive] < targets[alive]]
-
-        rows: list[np.ndarray] = []
-        for i, row_pieces in enumerate(pieces):
-            row_ids = self._flat_topic_ids[np.concatenate(row_pieces)]
-            n = int(targets[i])
-            if row_ids.size < n:
-                row_ids = self._top_up(row_ids, n, rngs[i])
-            rows.append(row_ids[:n])
-        return rows
-
-    def _top_up(
-        self, chosen_ids: np.ndarray, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The exhausted path: the catalog's unchosen ids, shuffled, fill the row.
-
-        ``Generator.shuffle`` permutes an int64 array exactly as it does
-        the reference's id list, from the same stream position.
-        """
-        ids = self._catalog.ids
-        remaining = ids[~np.isin(ids, chosen_ids)]
-        rng.shuffle(remaining)
-        return np.concatenate([chosen_ids, remaining[: n - chosen_ids.size]])
+        offsets = self._topic_offsets
+        cdf = tables.cdf
+        weights = np.zeros(self._flat_ids.size)
+        within = weights[: offsets[-1]]
+        np.subtract(cdf[1:], cdf[:-1], out=within[1:])
+        within[offsets[:-1]] = cdf[offsets[:-1]]
+        within *= np.repeat(np.diff(topic_cdf, prepend=0.0), np.diff(offsets))
+        within[np.isnan(within)] = 0.0
+        return weights
 
     def _bias_tables(self, bias: float) -> _BiasTables:
         """Base topic weights and within-topic CDFs for one rounded bias."""

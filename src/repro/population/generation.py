@@ -36,12 +36,16 @@ consumed in exactly this order:
    ``[0.1, 0.95]``;
 3. **preferred topics** — one
    ``rng.choice(n_topics, size=TOPICS_PER_USER, replace=False)`` draw;
-4. **assignment** — up to 40 attempts, each one topic draw block
-   (``rng.choice(..., p=...)``, i.e. one uniform block against the topic
-   CDF) followed by one ``rng.random(batch)`` block for the within-topic
-   draws; on exhaustion, one ``rng.shuffle`` of the not-yet-assigned ids.
-   ``oracles.ReferenceAssigner.assign`` in ``tests/oracles.py`` states
-   this stage for one user at a time.
+4. **assignment** (version :data:`ASSIGNMENT_STREAM_VERSION`) — one topic
+   draw block (``rng.choice(..., p=...)``, i.e. one uniform block against
+   the topic CDF), then one ``rng.random(batch)`` block for the
+   within-topic draws, keeping each id's first occurrence.  A row still
+   short then draws one ``rng.standard_exponential`` block, one ``E`` per
+   catalog id (the taxonomy topics' ids in topic order, then the rest by
+   id), and takes the ids it lacks in ascending ``E / w``, ``w`` being one
+   draw's chance of landing on the id, then those with ``w = 0`` in
+   ascending ``E``.  ``oracles.ReferenceAssigner.assign`` in
+   ``tests/oracles.py`` states this stage for one user at a time.
 
 :func:`run_interest_shard` runs stages 1–3 row by row, parks each row's
 live generator, then hands the whole shard to the batched
@@ -75,6 +79,10 @@ SEED_KEY = "panel-user"
 
 #: Preferred topics drawn per user from its stream (stage 3).
 TOPICS_PER_USER = 3
+
+#: Version of stage 4, in every panel stage key (version 1 finished short
+#: rows with further rejection attempts and a shuffle).
+ASSIGNMENT_STREAM_VERSION = 2
 
 #: Bounded per-process memo of assigners rebuilt from specs (mirrors
 #: ``repro.exec.tasks``'s model memo): long-lived sweep/service workers

@@ -27,6 +27,7 @@ from .._rng import derive_seed
 from ..cache import BuildCache, stable_fingerprint
 from ..config import ReproductionConfig, quick_config
 from ..errors import ConfigurationError
+from ..population.generation import ASSIGNMENT_STREAM_VERSION
 from ..pipeline import (
     Simulation,
     build_simulation,
@@ -180,9 +181,10 @@ class ScenarioSpec:
         field changes — it identifies "the same experiment".  Sweep
         manifests key per-spec outcomes on it, so a resumed sweep only
         trusts a recorded result when the spec that produced it matches
-        bit-for-bit.
+        bit-for-bit and its panel was drawn by the same assignment stream.
         """
-        return stable_fingerprint("scenario-spec", self.to_dict())
+        payload = {"spec": self.to_dict(), "assignment_stream": ASSIGNMENT_STREAM_VERSION}
+        return stable_fingerprint("scenario-spec", payload)
 
     # -- round-trip ----------------------------------------------------------------
 

@@ -21,8 +21,8 @@ kept out of ``src/`` because nothing but the parity checks runs it:
   every column, per chunk; ``repro.core.bootstrap_cutpoints`` is pinned
   against it bit for bit;
 * :class:`ReferenceAssigner` — interest assignment one user at a time
-  (``rng.choice`` topic draws, one uniform slice per drawn topic, a
-  ``seen`` set, a shuffled list top-up); the batched
+  (one ``rng.choice`` topic draw, one uniform slice per drawn topic, a
+  ``seen`` set, an exponential-key tail over a full sort); the batched
   ``InterestAssigner.assign_rows`` kernel is pinned against it bit for
   bit;
 * :func:`run_interest_shard_reference` — one ``ReferenceAssigner.assign``
@@ -504,14 +504,14 @@ def bootstrap_cutpoints_reference(
 class ReferenceAssigner:
     """``InterestAssigner.assign_rows`` one user at a time.
 
-    The plainest statement of stream stage 4 for one user: per attempt one
-    ``rng.choice(p=...)`` topic draw, then one ``rng.random`` block handed
-    out to the drawn topics in ascending topic order, each topic's slice
-    searched in that topic's ``audience ** bias`` CDF; the first occurrence
-    of every id is kept, and a user still short after 40 attempts tops up
-    from a shuffled list of the ids it lacks.  Preferred topics are given
-    by name (a repeated name is boosted once per occurrence) and a bias of
-    ``None`` means 0.5.
+    The plainest statement of stream stage 4 for one user: one attempt of
+    one ``rng.choice(p=...)`` topic draw, then one ``rng.random`` block
+    handed out to the drawn topics in ascending topic order, each topic's
+    slice searched in that topic's ``audience ** bias`` CDF, keeping the
+    first occurrence of every id; a user still short takes the ids it
+    lacks in the order of one exponential-key draw (:meth:`_tail_order`).
+    Preferred topics are given by name (a repeated name is boosted once
+    per occurrence) and a bias of ``None`` means 0.5.
     """
 
     def __init__(
@@ -572,32 +572,57 @@ class ReferenceAssigner:
         topic_probs = self._topic_probabilities(preferred_topics or (), bias)
         chosen: list[int] = []
         seen: set[int] = set()
-        attempts = 0
-        while len(chosen) < n_interests and attempts < 40:
-            attempts += 1
-            needed = n_interests - len(chosen)
-            batch = max(needed, int(needed * 1.25) + 4)
-            topic_draws = rng.choice(len(self.topics), size=batch, p=topic_probs)
-            topics, topic_counts = np.unique(topic_draws, return_counts=True)
-            # One uniform block, sliced per topic in ascending topic order.
-            uniforms = rng.random(int(topic_counts.sum()))
-            offset = 0
-            for topic, count in zip(topics.tolist(), topic_counts.tolist()):
-                ids = self._draw_within_topic(
-                    topic, uniforms[offset : offset + count], bias
-                )
-                offset += count
-                for interest_id in ids.tolist():
-                    if interest_id not in seen:
-                        seen.add(interest_id)
-                        chosen.append(interest_id)
+        batch = max(n_interests, int(n_interests * 1.25) + 4)
+        topic_draws = rng.choice(len(self.topics), size=batch, p=topic_probs)
+        topics, topic_counts = np.unique(topic_draws, return_counts=True)
+        # One uniform block, sliced per topic in ascending topic order.
+        uniforms = rng.random(int(topic_counts.sum()))
+        offset = 0
+        for topic, count in zip(topics.tolist(), topic_counts.tolist()):
+            ids = self._draw_within_topic(topic, uniforms[offset : offset + count], bias)
+            offset += count
+            for interest_id in ids.tolist():
+                if interest_id not in seen:
+                    seen.add(interest_id)
+                    chosen.append(interest_id)
         if len(chosen) < n_interests:
-            remaining = [
-                int(i) for i in self.catalog.interest_ids if int(i) not in seen
-            ]
-            rng.shuffle(remaining)
-            chosen.extend(remaining[: n_interests - len(chosen)])
+            chosen.extend(
+                interest_id
+                for interest_id in self._tail_order(rng, topic_probs, bias)
+                if interest_id not in seen
+            )
         return tuple(chosen[:n_interests])
+
+    def _tail_order(
+        self, rng: np.random.Generator, topic_probs: np.ndarray, bias: float
+    ) -> list[int]:
+        """Every catalog id in the order continued draws would first reach it.
+
+        ``w`` is the chance one draw lands on an id: its topic's step in
+        the CDF ``rng.choice`` searches times its step in the topic's
+        within-topic CDF, 0 outside the taxonomy topics and in a topic of
+        probability 0.  One exponential ``E`` per id (taxonomy topics' ids
+        in topic order, then the rest by id); ids of positive ``w`` come
+        first in ascending ``E / w``, then the rest in ascending ``E``.
+        """
+        cdf = topic_probs.cumsum()
+        cdf /= cdf[-1]
+        topic_steps = np.diff(cdf, prepend=0.0)
+        weights = [
+            topic_steps[topic] * np.diff(within, prepend=0.0)
+            if topic_steps[topic] > 0
+            else np.zeros(within.size)
+            for topic, within in enumerate(self._bias_tables(bias)[1])
+        ]
+        taxonomy = np.concatenate(self._topic_ids)
+        others = np.setdiff1d(self.catalog.interest_ids, taxonomy)
+        ids = np.concatenate([taxonomy, others])
+        weights = np.concatenate([*weights, np.zeros(others.size)])
+        exponentials = rng.standard_exponential(ids.size)
+        positive = weights > 0
+        keys = exponentials.copy()
+        np.divide(exponentials, weights, out=keys, where=positive)
+        return ids[np.lexsort((keys, ~positive))].tolist()
 
     def _topic_probabilities(
         self, preferred_topics: Sequence[str], bias: float
@@ -618,10 +643,11 @@ class ReferenceAssigner:
         if tables is None:
             powered = [np.power(audiences, bias) for audiences in self._topic_audiences]
             cumulative = [np.cumsum(weights) for weights in powered]
-            tables = self._tables[bias] = (
-                np.array([weights.sum() for weights in powered]),
-                [cdf / cdf[-1] for cdf in cumulative],
-            )
+            with np.errstate(invalid="ignore"):  # an all-zero topic is 0/0
+                tables = self._tables[bias] = (
+                    np.array([weights.sum() for weights in powered]),
+                    [cdf / cdf[-1] for cdf in cumulative],
+                )
         return tables
 
     def _draw_within_topic(

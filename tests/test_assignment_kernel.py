@@ -11,6 +11,10 @@ Pins :meth:`InterestAssigner.assign_rows` — the kernel behind
   ``oracles.run_interest_shard_reference`` (jittered biases, in-stream age
   draws) and is invariant to how a row range is split into shards; a
   property test sweeps generated catalogs, counts, biases and splits;
+* **exponential tail** — a row attempt 1 leaves short takes each next
+  interest with probability proportional to its per-draw chance ``w``
+  among those it lacks (a seeded chi² check), and zero-weight ids, an
+  all-zero topic and non-taxonomy topics come last;
 * **validation** — anything but one stream, one array of distinct topic
   indices and one finite bias per row raises
   :class:`~repro.errors.PopulationError` before a stream is touched;
@@ -43,7 +47,7 @@ from repro.population import (
     run_interest_shard,
 )
 from repro.pipeline import build_catalog, build_panel
-from repro.population.assignment import BIAS_TABLE_CACHE_SIZE
+from repro.population.assignment import BIAS_TABLE_CACHE_SIZE, _tail_positions
 
 import oracles
 from oracles import ReferenceAssigner, run_interest_shard_reference
@@ -51,7 +55,7 @@ from oracles import ReferenceAssigner, run_interest_shard_reference
 TOPICS_PER_USER = 3
 
 #: Ragged counts: zeros, singletons, mid-sized rows, one row clipped to the
-#: catalog (forcing the rejection tail and the deterministic top-up).
+#: catalog (attempt 1 always leaves it short, so its exponential tail runs).
 RAGGED_COUNTS = np.array([0, 1, 3, 12, 37, 4, 0, 25, 7, 999, 5, 2], dtype=np.int64)
 
 #: Every bias the panel's jitter draw can produce: 2 decimals in [0.1, 0.95].
@@ -248,7 +252,11 @@ class TestShardParity:
 
 @st.composite
 def small_catalogs(draw) -> InterestCatalog:
-    """2–6 taxonomy topics of uneven sizes, one holding a single interest."""
+    """2–6 taxonomy topics of uneven sizes, one holding a single interest.
+
+    Sometimes a topic outside the taxonomy joins them; ids are a drawn
+    permutation, so topics interleave in id order.
+    """
     n_topics = draw(st.integers(min_value=2, max_value=6))
     topics = draw(st.permutations(TOPICS))[:n_topics]
     sizes = [1] + draw(
@@ -258,11 +266,15 @@ def small_catalogs(draw) -> InterestCatalog:
             max_size=n_topics - 1,
         )
     )
+    if draw(st.booleans()):
+        topics.append("Outside the taxonomy")
+        sizes.append(draw(st.integers(min_value=1, max_value=6)))
+    ids = draw(st.permutations(range(sum(sizes))))
     interests = []
     for topic, size in zip(topics, sizes):
         for _ in range(size):
             audience = draw(st.integers(min_value=1, max_value=10**9))
-            index = len(interests)
+            index = ids[len(interests)]
             interests.append(Interest(index, f"i{index}", topic, audience))
     return InterestCatalog(interests)
 
@@ -329,6 +341,179 @@ class TestShardProperties:
                 np.concatenate([p[part] for p in pieces]), whole[part]
             )
         np.testing.assert_array_equal(whole[1], np.minimum(counts, len(catalog)))
+
+
+def interleaved_catalog(pairs) -> InterestCatalog:
+    """A catalog of ``(topic, audience)`` pairs, ids in list order."""
+    return InterestCatalog(
+        [
+            Interest(index, f"i{index}", topic, audience)
+            for index, (topic, audience) in enumerate(pairs)
+        ]
+    )
+
+
+T0, T1, T2 = TOPICS[:3]
+
+#: Zero-audience interests in two topics, and ``T1`` all zero: at a bias
+#: above 0 every one of them has per-draw chance 0.
+ZERO_PAIRS = [
+    (T0, 0), (T1, 0), (T0, 500), (T2, 40), (T1, 0), (T0, 0),
+    (T2, 9000), (T0, 7), (T1, 0), (T2, 0), (T0, 120), (T2, 3),
+]  # fmt: skip
+
+#: Two topics outside the taxonomy, interleaved with each other and with
+#: taxonomy ids, so their id order is not their topic-code order.
+OTHER, ANOTHER = "Outside the taxonomy", "Also outside"
+FOREIGN_PAIRS = [
+    (T0, 50), (OTHER, 900), (T1, 8), (ANOTHER, 12), (T0, 3000), (OTHER, 20),
+    (T2, 700), (ANOTHER, 300), (T1, 65), (T2, 1), (OTHER, 5), (T0, 44),
+]  # fmt: skip
+
+
+def expected_weights(catalog, preferred, bias, boost) -> dict[int, float]:
+    """Each id's chance that one draw lands on it, from the model itself."""
+    topics = catalog.topics()
+    powered = {t: [i.audience_size**bias for i in catalog.by_topic(t)] for t in topics}
+    topic_weights = np.array([sum(powered[t]) for t in topics])
+    topic_weights[list(preferred)] *= boost
+    topic_chances = topic_weights / topic_weights.sum()
+    weights = dict.fromkeys(catalog.interest_ids.tolist(), 0.0)
+    for chance, topic in zip(topic_chances, topics):
+        total = sum(powered[topic])
+        for interest, power in zip(catalog.by_topic(topic), powered[topic]):
+            weights[interest.interest_id] = chance * power / total if total else 0.0
+    return weights
+
+
+def kernel_weights(assigner, preferred, bias) -> dict[int, float]:
+    """The per-draw chances the kernel's tail ranks one row by."""
+    tables = [assigner._bias_tables(bias)]
+    slot = np.zeros(1, dtype=np.int64)
+    topic_cdfs = assigner._topic_cdfs(
+        tables, slot, np.zeros(len(preferred), dtype=np.int64), np.array(preferred)
+    )
+    weights = assigner._tail_weights(topic_cdfs[0], tables[0])
+    return dict(zip(assigner._flat_ids.tolist(), weights.tolist()))
+
+
+def whole_catalog_rows(assigner, n_rows, seed, *, preferred, bias):
+    """Kernel and reference rows asking for every id, on shared streams."""
+    n = len(assigner.catalog)
+    kernel = assigner.assign_rows(
+        np.full(n_rows, n),
+        [derive_generator(seed, "user", row) for row in range(n_rows)],
+        preferred_topics=[np.array(preferred, dtype=np.int64)] * n_rows,
+        popularity_biases=np.full(n_rows, bias),
+    )
+    reference = ReferenceAssigner.of(assigner)
+    names = [assigner.topics[t] for t in preferred]
+    rows = [
+        reference.assign(
+            n,
+            derive_generator(seed, "user", row),
+            preferred_topics=names,
+            popularity_bias=bias,
+        )
+        for row in range(n_rows)
+    ]
+    assert_rows_equal(
+        kernel, (np.concatenate(rows), np.array([len(r) for r in rows]))
+    )
+    return kernel[0].reshape(n_rows, n)
+
+
+def chi2_bound(dof: int, z: float = 4.75) -> float:
+    """Wilson–Hilferty upper quantile of chi² (``z = 4.75``: about 1e-6)."""
+    return dof * (1 - 2 / (9 * dof) + z * np.sqrt(2 / (9 * dof))) ** 3
+
+
+class TestExponentialTail:
+    """Rows attempt 1 leaves short finish by successive sampling on ``w``."""
+
+    def test_next_picks_are_proportional_to_w_among_the_unheld(self):
+        weights = np.array([0.02, 0.31, 0.0, 0.05, 0.17, 0.09, 0.2, 0.01, 0.15])
+        held = np.array([1, 6])
+        free = np.setdiff1d(np.flatnonzero(weights), held)
+        p_first = np.zeros(weights.size)
+        p_first[free] = weights[free] / weights[free].sum()
+        # The second pick: the first is i with p_first[i], then j with
+        # w_j / (W - w_i) among the rest.
+        p_second = np.zeros(weights.size)
+        for i in free:
+            rest = free[free != i]
+            p_second[rest] += p_first[i] * weights[rest] / weights[rest].sum()
+        rng = np.random.default_rng(20211102)
+        n_trials = 20_000
+        picks = np.array(
+            [_tail_positions(rng, weights, held, 2) for _ in range(n_trials)]
+        )
+        for column, expected in ((0, p_first), (1, p_second)):
+            observed = np.bincount(picks[:, column], minlength=weights.size)
+            assert observed[expected == 0].sum() == 0
+            cells = expected > 0
+            stat = (
+                (observed[cells] - n_trials * expected[cells]) ** 2
+                / (n_trials * expected[cells])
+            ).sum()
+            assert stat < chi2_bound(int(cells.sum()) - 1), (column, stat)
+        assert not np.isin(picks, held).any()
+        assert (picks[:, 0] != picks[:, 1]).all()
+
+    @pytest.mark.parametrize("bias", [0.0, 0.6])
+    @pytest.mark.parametrize("pairs", [ZERO_PAIRS, FOREIGN_PAIRS])
+    def test_weights_are_the_per_draw_chances(self, pairs, bias):
+        catalog = interleaved_catalog(pairs)
+        assigner = InterestAssigner(catalog, topic_affinity_boost=3.0)
+        got = kernel_weights(assigner, [1], bias)
+        want = expected_weights(catalog, [1], bias, 3.0)
+        assert sorted(got) == sorted(want)
+        for interest_id, weight in want.items():
+            assert np.isfinite(got[interest_id])
+            assert (got[interest_id] == 0) == (weight == 0), interest_id
+            assert got[interest_id] == pytest.approx(weight, rel=1e-12)
+
+    def test_zero_weights_come_last_in_a_whole_catalog_request(self):
+        catalog = interleaved_catalog(ZERO_PAIRS)
+        assigner = InterestAssigner(catalog, topic_affinity_boost=3.0)
+        # T1 is all zero: boosting it leaves it at 0 (no NaN key).
+        rows = whole_catalog_rows(assigner, 40, 5, preferred=[1, 2], bias=0.6)
+        zero_ids = {i for i, (_, audience) in enumerate(ZERO_PAIRS) if audience == 0}
+        n_positive = len(ZERO_PAIRS) - len(zero_ids)
+        for row in rows:
+            assert sorted(row.tolist()) == list(range(len(ZERO_PAIRS)))
+            assert set(row[n_positive:].tolist()) == zero_ids
+        # The zero-weight ids still come in varying (exponential) orders.
+        assert len({tuple(row[n_positive:]) for row in rows}) > 1
+
+    def test_non_taxonomy_ids_come_last(self):
+        catalog = interleaved_catalog(FOREIGN_PAIRS)
+        assigner = InterestAssigner(catalog)
+        assert OTHER not in assigner.topics and ANOTHER not in assigner.topics
+        foreign = {i for i, (topic, _) in enumerate(FOREIGN_PAIRS) if topic not in TOPICS}
+        rows = whole_catalog_rows(assigner, 30, 8, preferred=[0], bias=0.5)
+        for row in rows:
+            assert sorted(row.tolist()) == list(range(len(FOREIGN_PAIRS)))
+            assert set(row[-len(foreign) :].tolist()) == foreign
+        assert_rows_equal(
+            kernel_rows(assigner, np.arange(12), 3, "user"),
+            reference_rows(assigner, np.arange(12), 3, "user"),
+        )
+
+    def test_bias_zero_weighs_every_interest_of_a_topic_alike(self):
+        catalog = interleaved_catalog(ZERO_PAIRS)
+        assigner = InterestAssigner(catalog, topic_affinity_boost=3.0)
+        # audience ** 0 is 1, zero audiences included: nothing weighs 0,
+        # so zero-audience ids are drawn early as often as any other.
+        rows = whole_catalog_rows(assigner, 20, 11, preferred=[0], bias=0.0)
+        zero_ids = {i for i, (_, audience) in enumerate(ZERO_PAIRS) if audience == 0}
+        assert any(set(row[: len(zero_ids)].tolist()) & zero_ids for row in rows)
+        counts = np.array([0, 3, 7, 11, 12, 12, 9, 5])
+        biases = np.zeros(counts.size)
+        assert_rows_equal(
+            kernel_rows(assigner, counts, 13, "user", biases=biases),
+            reference_rows(assigner, counts, 13, "user", biases=biases),
+        )
 
 
 class TestValidation:
@@ -528,7 +713,8 @@ class TestSpecMemoBounds:
 @pytest.mark.parametrize("seed", [1, 202])
 def test_sweep_scale_panel_matches_the_reference(seed):
     # The sweep's factor: a small catalog split over many biases, so the
-    # (bias, topic) groups are tiny and rows need many rejection rounds.
+    # (bias, topic) groups are tiny, and a fifth or so of the rows (asking
+    # for up to 8,950 of 12,375 interests) finish with the exponential tail.
     config = quick_config(8)
     catalog = build_catalog(config, seed=seed)
     built = build_panel(config, seed=seed, catalog=catalog)

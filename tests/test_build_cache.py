@@ -27,7 +27,9 @@ import numpy as np
 import pytest
 
 from repro import build_simulation, quick_config
+from repro._rng import derive_seed
 from repro.cache import BuildCache, build_cache, stable_fingerprint
+from repro.catalog import DEFAULT_WORLD_POPULATION
 from repro.config import CatalogConfig
 from repro.exec import ShardExecutor
 from repro.pipeline import (
@@ -141,6 +143,32 @@ class TestFingerprintStability:
         spec = cache_spec()
         rebuilt = ScenarioSpec.from_dict(spec.to_dict())
         assert rebuilt.stage_fingerprints() == spec.stage_fingerprints()
+
+    def test_panels_of_the_old_assignment_stream_never_load(self):
+        # The payloads keys had before they named the assignment stream:
+        # a root warmed then must miss every panel and re-run every sweep
+        # row, while its catalogs still hit.
+        config = quick_config(factor=FACTOR)
+        old_panel_key = stable_fingerprint(
+            "stage:panel",
+            {
+                "catalog": catalog_fingerprint(config, 17),
+                "panel": config.panel.to_dict(),
+                "topic_affinity_boost": config.reach.topic_affinity_boost,
+                "seed": int(derive_seed(17, "panel")),
+            },
+        )
+        assert panel_fingerprint(config, 17) != old_panel_key
+        assert catalog_fingerprint(config, 17) == stable_fingerprint(
+            "stage:catalog",
+            {
+                "config": config.catalog.to_dict(),
+                "seed": int(derive_seed(17, "catalog")),
+                "world_population": DEFAULT_WORLD_POPULATION,
+            },
+        )
+        spec = cache_spec()
+        assert spec.fingerprint() != stable_fingerprint("scenario-spec", spec.to_dict())
 
 
 class TestBuildCache:
